@@ -23,6 +23,7 @@ from .errors import (
     DegenerateDataError,
     DomainError,
     FactorizationError,
+    PrecisionError,
 )
 
 DETECTION_THRESHOLD = 0.05
@@ -137,7 +138,7 @@ def _write(path: str | None, text: str) -> None:
 def cmd_dist(args) -> int:
     pmf = exactdist.build_pmf(args.eta, tol=args.tol)
     exactdist.write_pmf_csv(pmf, args.out)
-    json_path = _sibling(args.out, ".json")
+    json_path = _sibling(args.out, ".csv", ".json")
     _write(json_path, exactdist.pmf_to_json(pmf))
     variance = exactdist.variance_for(args.eta)
     print(f"eta: {args.eta}")
@@ -149,14 +150,13 @@ def cmd_dist(args) -> int:
     if args.verify:
         back = exactdist.read_pmf_csv(args.out)
         if back != pmf.as_mapping():
-            raise RuntimeError(f"round trip through {args.out} is not bit-exact")
+            raise PrecisionError(f"round trip through {args.out} is not bit-exact")
         print("round trip verified bit-exact")
     return 0
 
 
-def _sibling(path: str, suffix: str) -> str:
-    base = path[: -len(".csv")] if path.endswith(".csv") else path
-    return base + suffix
+def _sibling(path: str, ext: str, suffix: str) -> str:
+    return path.removesuffix(ext) + suffix
 
 
 def cmd_detect(args) -> int:
@@ -363,20 +363,23 @@ def _config_cells(raw: dict[str, list[str]], seed: int, args):
     if "reps" not in raw:
         raise ConfigurationError("missing 'reps' (config key or --reps)")
 
-    def _ints(key):
-        return [int(v) for v in raw[key]]
+    def values(key, kind):
+        try:
+            return [kind(v) for v in raw[key]]
+        except ValueError as exc:
+            raise ConfigurationError(f"config key {key!r}: {exc}") from None
 
     modes = tuple(m.lower() for m in raw.get("modes", ["known"]))
     family = raw.get("family", ["gaussian"])[0].lower()
-    nu = float(raw["nu"][0]) if "nu" in raw else None
-    d = int(raw["d"][0]) if "d" in raw else 1
-    delta = int(raw["delta"][0]) if "delta" in raw else None
-    reps = int(raw["reps"][0])
+    nu = values("nu", float)[0] if "nu" in raw else None
+    d = values("d", int)[0] if "d" in raw else 1
+    delta = values("delta", int)[0] if "delta" in raw else None
+    reps = values("reps", int)[0]
 
     cells = []
-    for n in _ints("n"):
-        for tau in _ints("tau"):
-            for eta in [float(v) for v in raw["eta"]]:
+    for n in values("n", int):
+        for tau in values("tau", int):
+            for eta in values("eta", float):
                 cells.append(
                     montecarlo.SimConfig(
                         n=n, tau=tau, eta=eta, replications=reps, master_seed=seed,
@@ -403,19 +406,14 @@ def cmd_simulate(args) -> int:
             print(line)
     if len(reports) == 1:
         _write(args.out, montecarlo.report_to_json(reports[0]))
-        montecarlo.report_to_csv(reports[0], _sibling_json(args.out, ".csv"))
+        montecarlo.report_to_csv(reports[0], _sibling(args.out, ".json", ".csv"))
     else:
         body = "[" + ", ".join(montecarlo.report_to_json(r) for r in reports) + "]"
         _write(args.out, body)
         for i, r in enumerate(reports):
-            montecarlo.report_to_csv(r, _sibling_json(args.out, f".cell{i}.csv"))
+            montecarlo.report_to_csv(r, _sibling(args.out, ".json", f".cell{i}.csv"))
     print(f"wrote {args.out}")
     return 0
-
-
-def _sibling_json(path: str, suffix: str) -> str:
-    base = path[: -len(".json")] if path.endswith(".json") else path
-    return base + suffix
 
 
 if __name__ == "__main__":

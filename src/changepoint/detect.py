@@ -4,9 +4,10 @@ The mean-change statistic maximizes the determinant-ratio criterion
 
     U_n = max_t  n log(|Sigma_hat_n| / |Sigma_hat_t|)
 
-over admissible splits; the covariance-change statistic compares
-segmentwise covariance estimates of residual deviations.  Either max is
-normalized by the iterated-logarithm transform
+over the splits [d+1, n-d-1] with the profile MLE's kernel
+(``estimators.split_criterion``); the covariance-change statistic
+compares segmentwise covariance estimates of residual deviations.
+Either max is normalized by the iterated-logarithm transform
 
     W = sqrt(2 loglog n * U) - (2 loglog n + (p/2) logloglog n - log Gamma(p/2))
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, DomainError
-from .estimators import split_scatters
+from .estimators import segment_fit, split_criterion, split_scatters
 from .model import Dataset
 
 __all__ = [
@@ -118,21 +119,14 @@ def mean_change_statistic(data: Dataset) -> DetectionReport:
     The trace holds n log(|Sigma_hat_n| / |Sigma_hat_t|) for t in
     [d+1, n-d-1] (nan outside), where Sigma_hat_t pools the scatter
     about the two segment means and Sigma_hat_n is the no-change
-    estimate.
+    estimate; only a finite value can be the argmax.
     """
     series = data.series
     n, d = series.shape
     if n < 2 * (d + 1):
         raise DomainError(f"need n >= 2(d+1) = {2 * (d + 1)} rows, got {n}")
-    scatter_t, scatter_n = split_scatters(series)
-    sign_n, logdet_n = np.linalg.slogdet(scatter_n / n)
-    if sign_n <= 0 or not np.isfinite(logdet_n):
-        raise DegenerateDataError("no-change covariance estimate is singular")
     lo, hi = d + 1, n - d - 1
-    trace = np.full(n - 1, np.nan)
-    sign_t, logdet_t = np.linalg.slogdet(scatter_t[lo - 1 : hi] / n)
-    with np.errstate(invalid="ignore"):
-        trace[lo - 1 : hi] = np.where(sign_t > 0, n * (logdet_n - logdet_t), np.nan)
+    trace = split_criterion(*split_scatters(series), lo, hi)
     return _report("mean_change", trace, lo, hi, n, p=d)
 
 
@@ -194,14 +188,9 @@ def residual_diagnostics(data: Dataset, tau_hat: int) -> DiagnosticsReport:
     average d (n - 2) / n exactly.  The deviations sum to zero within
     each segment by construction.
     """
-    series = data.series
-    n, d = series.shape
-    if not (1 <= tau_hat <= n - 1):
+    if not (1 <= tau_hat <= data.n - 1):
         raise DomainError(f"tau_hat must be in [1, n-1], got {tau_hat}")
-    mu1 = series[:tau_hat].mean(axis=0)
-    mu2 = series[tau_hat:].mean(axis=0)
-    dev = np.vstack([series[:tau_hat] - mu1, series[tau_hat:] - mu2])
-    pooled = dev.T @ dev / (n - 2)
+    mu1, mu2, dev, pooled = segment_fit(data.series, tau_hat)
     try:
         L = np.linalg.cholesky(pooled)
     except np.linalg.LinAlgError as exc:

@@ -8,9 +8,11 @@ criterion becomes the determinant ratio
 
     n log(|Sigma_hat_n| / |Sigma_hat_t|)
 
-whose univariate case is n log(sigma_hat_n^2 / sigma_hat_t^2).  Ties are
-always resolved to the smallest index, so repeated runs are bit
-identical.
+whose univariate case is n log(sigma_hat_n^2 / sigma_hat_t^2).  One
+kernel, ``split_criterion``, evaluates it on an explicit range of
+splits: [1, n-1] at d = 1 and [d+1, n-d-1] otherwise for the profile
+MLE, [d+1, n-d-1] for detection.  Ties are always resolved to the
+smallest index, so repeated runs are bit identical.
 """
 
 from __future__ import annotations
@@ -75,9 +77,10 @@ class ConditionalPmf:
         return float(self.probs[l + self.delta])
 
 
-def loglik_ratio_terms(series: np.ndarray, model: ChangeModel) -> np.ndarray:
+def loglik_ratio_terms(
+    series: np.ndarray, origin: UnivariateOrigin | MultivariateOrigin
+) -> np.ndarray:
     """Per-observation terms a(y) = log f1(y) - log f2(y) under known params."""
-    origin = model.origin
     if isinstance(origin, UnivariateOrigin):
         if series.shape[1] != 1:
             raise DomainError(f"univariate parameters given for {series.shape[1]}-column data")
@@ -97,14 +100,14 @@ def loglik_ratio_terms(series: np.ndarray, model: ChangeModel) -> np.ndarray:
     return 0.5 * (np.sum(z2 * z2, axis=0) - np.sum(z1 * z1, axis=0))
 
 
-def known_walk(series: np.ndarray, model: ChangeModel) -> np.ndarray:
+def known_walk(series: np.ndarray, origin: UnivariateOrigin | MultivariateOrigin) -> np.ndarray:
     """Cumulative log-likelihood-ratio walk over splits t = 1..n-1."""
-    return np.cumsum(loglik_ratio_terms(series, model))[:-1]
+    return np.cumsum(loglik_ratio_terms(series, origin))[:-1]
 
 
 def mle_known(data: Dataset, model: ChangeModel) -> MleResult:
     """Known-parameter MLE: smallest argmax of the likelihood-ratio walk."""
-    walk = known_walk(data.series, model)
+    walk = known_walk(data.series, model.origin)
     tau_hat = int(np.argmax(walk)) + 1
     return MleResult(tau_hat=tau_hat, walk_trace=walk, params_used=model, mode="known")
 
@@ -119,76 +122,76 @@ def split_scatters(series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     conditioned at arbitrary location offsets.
     """
     n, d = series.shape
-    series = series - series.mean(axis=0)
-    t = np.arange(1, n, dtype=float)
-    c1 = np.cumsum(series, axis=0)  # (n, d)
-    outer = series[:, :, None] * series[:, None, :]
-    c2 = np.cumsum(outer, axis=0)  # (n, d, d)
+    series = series - series.sum(axis=0) / n
+    t = np.arange(1, n, dtype=float)[:, None, None]
+    c1 = series.cumsum(axis=0)  # (n, d)
+    c2 = (series[:, :, None] * series[:, None, :]).cumsum(axis=0)  # (n, d, d)
     tot1, tot2 = c1[-1], c2[-1]
     left1, left2 = c1[:-1], c2[:-1]
-    right1 = tot1[None, :] - left1
-    left = left2 - left1[:, :, None] * left1[:, None, :] / t[:, None, None]
-    right = (tot2[None] - left2) - right1[:, :, None] * right1[:, None, :] / (n - t)[:, None, None]
-    scatter_n = tot2 - np.outer(tot1, tot1) / n
+    right1 = tot1 - left1
+    left = left2 - left1[:, :, None] * left1[:, None, :] / t
+    right = (tot2 - left2) - right1[:, :, None] * right1[:, None, :] / (n - t)
+    scatter_n = tot2 - tot1[:, None] * tot1 / n
     return left + right, scatter_n
 
 
-def _univariate_split_scatter(y: np.ndarray) -> tuple[np.ndarray, float]:
-    n = y.shape[0]
-    y = y - y.mean()
-    t = np.arange(1, n, dtype=float)
-    c1 = np.cumsum(y)
-    c2 = np.cumsum(y * y)
-    tot1, tot2 = c1[-1], c2[-1]
-    left = c2[:-1] - c1[:-1] ** 2 / t
-    right = (tot2 - c2[:-1]) - (tot1 - c1[:-1]) ** 2 / (n - t)
-    return left + right, float(tot2 - tot1 * tot1 / n)
+def split_criterion(scatter_t: np.ndarray, scatter_n: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Trace n log(|Sigma_hat_n| / |Sigma_hat_t|) over t = 1..n-1 from ``split_scatters``.
+
+    Splits outside [lo, hi] or with a segment estimate that is not
+    positive definite are nan; at d = 1 an exact fit scores +inf.
+    Raises if Sigma_hat_n is singular or [lo, hi] is empty.
+    """
+    n = scatter_t.shape[0] + 1
+    d = scatter_n.shape[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if d == 1:
+            logdet_n = np.log(scatter_n[0, 0] / n)
+            # log(0) = -inf scores an exact fit +inf; rounding below 0 gives nan
+            logdet_t = np.log(scatter_t[lo - 1 : hi, 0, 0] / n)
+        else:
+            sign_n, logdet_n = np.linalg.slogdet(scatter_n / n)
+            logdet_n = logdet_n if sign_n > 0 else np.nan
+            sign_t, logdet_t = np.linalg.slogdet(scatter_t[lo - 1 : hi] / n)
+            logdet_t = np.where(sign_t > 0, logdet_t, np.nan)
+    if not np.isfinite(logdet_n):
+        raise DegenerateDataError("no-change covariance estimate is singular")
+    if lo > hi:
+        raise DegenerateDataError(f"no admissible split for n={n}, d={d}")
+    trace = np.full(n - 1, np.nan)
+    trace[lo - 1 : hi] = n * (logdet_n - logdet_t)
+    return trace
 
 
 def profile_criterion(series: np.ndarray) -> np.ndarray:
     """Profile trace n log(|Sigma_hat_n| / |Sigma_hat_t|) over t = 1..n-1.
 
-    Inadmissible splits (either segment shorter than d + 1 when d > 1)
-    and splits with a non-positive-definite segment estimate are nan.
-    Raises if the no-change covariance estimate is singular.
+    Admissible splits are [1, n-1] at d = 1 and [d+1, n-d-1] otherwise
+    (nan outside).  Raises if the no-change covariance estimate is
+    singular or no split scores.
     """
     n, d = series.shape
-    trace = np.full(n - 1, np.nan)
-    if d == 1:
-        scatter_t, scatter_n = _univariate_split_scatter(series[:, 0])
-        if scatter_n <= 0:
-            raise DegenerateDataError("no-change variance estimate is zero")
-        sig_t = scatter_t / n
-        with np.errstate(divide="ignore"):
-            vals = n * (np.log(scatter_n / n) - np.log(sig_t))
-        vals[sig_t < 0] = np.nan  # rounding can drive an exact-fit scatter below 0
-        trace[:] = vals
-    else:
-        scatter_t, scatter_n = split_scatters(series)
-        sign_n, logdet_n = np.linalg.slogdet(scatter_n / n)
-        if sign_n <= 0 or not np.isfinite(logdet_n):
-            raise DegenerateDataError("no-change covariance estimate is singular")
-        lo, hi = d + 1, n - d - 1
-        if lo > hi:
-            raise DegenerateDataError(f"no admissible split for n={n}, d={d}")
-        sign_t, logdet_t = np.linalg.slogdet(scatter_t[lo - 1 : hi] / n)
-        vals = np.where(sign_t > 0, n * (logdet_n - logdet_t), np.nan)
-        trace[lo - 1 : hi] = vals
+    lo, hi = (1, n - 1) if d == 1 else (d + 1, n - d - 1)
+    trace = split_criterion(*split_scatters(series), lo, hi)
     if not np.any(np.isfinite(trace) | np.isposinf(trace)):
         raise DegenerateDataError("segment covariance estimate degenerate at every split")
     return trace
 
 
-def pooled_estimates(series: np.ndarray, tau_hat: int) -> EstimatedParams:
-    """Segment means and df-corrected pooled covariance at a given split."""
-    n, d = series.shape
+def segment_fit(series: np.ndarray, tau_hat: int):
+    """(mu1, mu2, deviations, pooled covariance = within scatter / (n - 2)) at a split."""
+    n = series.shape[0]
     left, right = series[:tau_hat], series[tau_hat:]
     mu1 = left.mean(axis=0)
     mu2 = right.mean(axis=0)
     dev = np.vstack([left - mu1, right - mu2])
-    scatter = dev.T @ dev
-    pooled = scatter / (n - 2)
-    if d == 1:
+    return mu1, mu2, dev, dev.T @ dev / (n - 2)
+
+
+def pooled_estimates(series: np.ndarray, tau_hat: int) -> EstimatedParams:
+    """Segment means and df-corrected pooled covariance at a given split."""
+    mu1, mu2, _, pooled = segment_fit(series, tau_hat)
+    if series.shape[1] == 1:
         return EstimatedParams(float(mu1[0]), float(mu2[0]), float(math.sqrt(pooled[0, 0])))
     return EstimatedParams(mu1, mu2, pooled)
 
@@ -209,21 +212,27 @@ def mle_profile(data: Dataset) -> MleResult:
     )
 
 
-def _params_walk(series: np.ndarray, params: ChangeModel | EstimatedParams) -> np.ndarray:
+def _origin(params: ChangeModel | EstimatedParams, d: int) -> UnivariateOrigin | MultivariateOrigin:
     if isinstance(params, ChangeModel):
-        return known_walk(series, params)
+        return params.origin
     # estimated record: plug the segment estimates in as if known
-    d = series.shape[1]
     if d == 1:
-        origin = UnivariateOrigin(float(params.mu1), float(params.mu2), float(params.sigma))
-    else:
-        origin = MultivariateOrigin(
-            np.asarray(params.mu1, dtype=float),
-            np.asarray(params.mu2, dtype=float),
-            np.asarray(params.sigma, dtype=float),
-        )
-    eta_dummy = 1.0  # only the origin parameters matter for the walk
-    return known_walk(series, ChangeModel(eta=eta_dummy, origin=origin))
+        return UnivariateOrigin(float(params.mu1), float(params.mu2), float(params.sigma))
+    return MultivariateOrigin(
+        np.asarray(params.mu1, dtype=float),
+        np.asarray(params.mu2, dtype=float),
+        np.asarray(params.sigma, dtype=float),
+    )
+
+
+def cobb_window(walk: np.ndarray, tau_hat: int, delta: int) -> np.ndarray:
+    """Normalized likelihoods of the splits tau_hat +- delta.
+
+    The walk spans hundreds of log units, so it is shifted by the window maximum first.
+    """
+    window = walk[tau_hat - delta - 1 : tau_hat + delta]
+    w = np.exp(window - window.max())
+    return w / w.sum()
 
 
 def cobb_conditional(
@@ -235,9 +244,7 @@ def cobb_conditional(
     """Conditional split distribution on the window tau_hat +- delta.
 
     Mass at offset l is proportional to the full-data likelihood with
-    the split at tau_hat + l, normalized over the window; evaluated via
-    max-shifted exponentials since the log-likelihoods span hundreds of
-    units.
+    the split at tau_hat + l, normalized over the window (``cobb_window``).
     """
     n = data.n
     if delta < 1:
@@ -247,12 +254,8 @@ def cobb_conditional(
             f"window tau_hat +- delta = [{tau_hat - delta}, {tau_hat + delta}] "
             f"exceeds the admissible splits [1, {n - 1}]"
         )
-    walk = _params_walk(data.series, params)
-    window = walk[tau_hat - delta - 1 : tau_hat + delta]
-    shifted = window - window.max()
-    w = np.exp(shifted)
-    probs = w / w.sum()
-    return ConditionalPmf(delta=delta, probs=probs)
+    walk = known_walk(data.series, _origin(params, data.d))
+    return ConditionalPmf(delta=delta, probs=cobb_window(walk, tau_hat, delta))
 
 
 def default_cobb_delta(tau_hat: int, n: int, cap: int = 15) -> int:
@@ -296,6 +299,8 @@ def confidence_interval(
     """
     if not (0.0 < level < 1.0):
         raise DomainError(f"level must be in (0, 1), got {level!r}")
+    if not (1 <= tau_hat <= n - 1):
+        raise DomainError(f"tau_hat must be in [1, n-1], got tau_hat={tau_hat}, n={n}")
     if isinstance(dist, Pmf):
         m = symmetric_interval(dist, level)
         achieved = dist.prob(0) + 2.0 * sum(dist.prob(k) for k in range(1, m + 1))

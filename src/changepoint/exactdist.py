@@ -189,23 +189,19 @@ def build_pmf(eta: float, tol: float = 1e-10) -> Pmf:
     """
     _check_eta_tol(eta, tol)
     r = np.exp(-eta * eta / 8.0)
-    kmax = max(8, int(np.ceil(8.0 / (eta * eta) * np.log(2.0 / (tol * (1.0 - r))))))
-    while True:
-        if kmax > _KMAX_CAP:
-            raise PrecisionError(
-                f"support for eta={eta} at tol={tol} exceeds the {_KMAX_CAP} cap"
-            )
-        tables = build_ladder_tables(eta, kmax, tol=min(tol, 1e-12))
-        g0 = tables.no_ladder
-        g = 1.0 - g0
-        half = np.empty(kmax + 1)
-        half[0] = g0 * g0
-        half[1:] = g0 * (tables.q[1:] - g * tables.q_tilde[1:])
-        # certified bound on sum_{k>K} 2 g0 (q_k - g q~_k) <= g0 r^(K+1)/(1-r)
-        tail = g0 * r ** (kmax + 1) / (1.0 - r)
-        if tail < tol:
-            break
-        kmax *= 2
+    # The discarded terms sum to at most g0 r^(kmax+1) / (1-r); this kmax
+    # makes r^kmax <= tol (1-r) / 2, so that bound is below g0 r tol / 2 < tol.
+    with np.errstate(divide="ignore", over="ignore"):  # tiny tol underflows to inf
+        size = 8.0 / (eta * eta) * np.log(2.0 / (tol * (1.0 - r)))
+    if not np.isfinite(size) or size > _KMAX_CAP:
+        raise PrecisionError(f"support for eta={eta} at tol={tol} exceeds the {_KMAX_CAP} cap")
+    kmax = max(8, int(np.ceil(size)))
+    tables = build_ladder_tables(eta, kmax, tol=min(tol, 1e-12))
+    g0 = tables.no_ladder
+    g = 1.0 - g0
+    half = np.empty(kmax + 1)
+    half[0] = g0 * g0
+    half[1:] = g0 * (tables.q[1:] - g * tables.q_tilde[1:])
     K = kmax
     # trim trailing entries that no longer contribute at the requested tol
     while K > 1 and half[K] <= 0.0:

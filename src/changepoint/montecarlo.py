@@ -5,7 +5,9 @@ substream, obtained by jumping a master-keyed generator ``rep_index``
 times (counter-based, O(1) per replication).  Identical
 (master_seed, rep_index) pairs therefore give bit-identical data no
 matter how replications are batched, ordered, or spread across worker
-processes, and all aggregation is plain commutative summation.
+processes.  Replications are tallied in fixed chunks of 10,000 whose
+sums are added in chunk order, so reports are bit-identical for every
+worker count.
 
 The environment variable CHANGEPOINT_THREADS bounds process-level
 parallelism of :func:`run_study` (unset or 0 means all available cores,
@@ -23,7 +25,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateDataError
-from .estimators import default_cobb_delta, known_walk, profile_criterion
+from .estimators import cobb_window, default_cobb_delta, known_walk, profile_criterion
 from .exactdist import Pmf
 from .model import ChangeModel, Dataset, MultivariateOrigin, UnivariateOrigin
 from . import errors as _errors
@@ -46,6 +48,8 @@ _FAMILIES = ("gaussian", "student_t", "chi_square")
 _MODES = ("known", "profile", "cobb")
 _SEED_SCHEME = "philox-jumped"
 _ORACLE_BATCH = 1 << 14  # fixed: changing it would change the oracle streams
+# Fixed: the chunk bounds set the order of the floating-point partial sums.
+_CHUNK_REPS = 10_000
 
 
 @dataclass(frozen=True)
@@ -74,6 +78,8 @@ class SimConfig:
             raise ConfigurationError(f"d must be >= 1, got {self.d}")
         if self.family not in _FAMILIES:
             raise ConfigurationError(f"family must be one of {_FAMILIES}, got {self.family!r}")
+        if self.nu is not None and not np.isfinite(self.nu):
+            raise ConfigurationError(f"nu must be finite, got {self.nu!r}")
         if self.family == "student_t":
             if self.nu is None or self.nu <= 2:
                 raise ConfigurationError(
@@ -163,7 +169,7 @@ class SimulationReport:
 
 
 def _accumulate_range(config: SimConfig, start: int, stop: int):
-    """Partial sums over replications [start, stop); order-free to merge."""
+    """Partial sums over replications [start, stop)."""
     n, tau = config.n, config.tau
     width = n - 1  # offset index = tau_hat - 1
     counts = {m: np.zeros(width) for m in config.modes}
@@ -171,12 +177,12 @@ def _accumulate_range(config: SimConfig, start: int, stop: int):
     cobb_center = 0.0
     cobb_clamped = 0
     need_known_walk = "known" in config.modes or "cobb" in config.modes
-    model = known_change_model(config) if need_known_walk else None
+    origin = known_change_model(config).origin if need_known_walk else None
     delta = config.cobb_delta
 
     for i in range(start, stop):
         series = _draw_series(config, _rep_rng(config.master_seed, i))
-        walk = known_walk(series, model) if need_known_walk else None
+        walk = known_walk(series, origin) if need_known_walk else None
         if "known" in config.modes:
             counts["known"][int(np.argmax(walk))] += 1.0
         if "profile" in config.modes:
@@ -195,9 +201,7 @@ def _accumulate_range(config: SimConfig, start: int, stop: int):
                 counts["cobb"][tau_hat - 1] += 1.0
                 cobb_center += 1.0
             else:
-                window = walk[tau_hat - d_eff - 1 : tau_hat + d_eff]
-                w = np.exp(window - window.max())
-                w /= w.sum()
+                w = cobb_window(walk, tau_hat, d_eff)
                 counts["cobb"][tau_hat - d_eff - 1 : tau_hat + d_eff] += w
                 cobb_center += float(w[d_eff])
     return counts, failures, cobb_center, cobb_clamped
@@ -234,20 +238,14 @@ def run_study(config: SimConfig, theoretical: Pmf) -> SimulationReport:
             f"theoretical pmf was built for eta={theoretical.eta}, cell has eta={config.eta}"
         )
     R = config.replications
-    workers = _worker_count(R)
+    starts = list(range(0, R, _CHUNK_REPS))
+    stops = starts[1:] + [R]
+    workers = min(_worker_count(R), len(starts))
     if workers == 1:
-        parts = [_accumulate_range(config, 0, R)]
+        parts = [_accumulate_range(config, a, b) for a, b in zip(starts, stops)]
     else:
-        bounds = np.linspace(0, R, workers + 1, dtype=int)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    _accumulate_range,
-                    [config] * workers,
-                    bounds[:-1].tolist(),
-                    bounds[1:].tolist(),
-                )
-            )
+            parts = list(pool.map(_accumulate_range, [config] * len(starts), starts, stops))
 
     counts = {m: np.zeros(config.n - 1) for m in config.modes}
     failures = dict.fromkeys(config.modes, 0)

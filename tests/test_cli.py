@@ -1,10 +1,17 @@
 """End-to-end CLI behavior: pipelines, artifacts, exit codes."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from changepoint import exactdist
 from changepoint.cli import main
 from changepoint.exactdist import read_pmf_csv
 
@@ -77,6 +84,24 @@ def test_dist_eta_guard_exits_2(tmp_path, capsys):
     rc = main(["dist", "--eta", "0.01", "--out", str(tmp_path / "p.csv")])
     assert rc == 2
     assert "eta" in capsys.readouterr().err
+
+
+def test_dist_tol_underflow_exits_2(tmp_path, capsys):
+    rc = main(["dist", "--eta", "1", "--tol", "1e-323", "--out", str(tmp_path / "p.csv")])
+    assert rc == 2
+    assert "tol" in capsys.readouterr().err
+
+
+def test_dist_verify_failure_exits_2(tmp_path, capsys, monkeypatch):
+    def corrupted(path):
+        back = read_pmf_csv(path)
+        back[0] = np.nextafter(back[0], 1.0)
+        return back
+
+    monkeypatch.setattr(exactdist, "read_pmf_csv", corrupted)
+    rc = main(["dist", "--eta", "1.6", "--out", str(tmp_path / "p.csv"), "--verify"])
+    assert rc == 2
+    assert "not bit-exact" in capsys.readouterr().err
 
 
 # --- analyze ----------------------------------------------------------------
@@ -199,6 +224,14 @@ def test_ci_command_calendar(tmp_path, capsys):
     assert "1960-1968" in capsys.readouterr().out
 
 
+def test_ci_tau_outside_sample_exits_2(capsys):
+    rc = main(["ci", "--eta", "1", "--level", "0.95", "--tau", "500", "--n", "40"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "tau_hat" in captured.err
+    assert "interval" not in captured.out
+
+
 # --- simulate -------------------------------------------------------------------
 
 def _sim_config(tmp_path, body):
@@ -241,6 +274,14 @@ def test_simulate_guards(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("family, nu", [("student_t", "nan"), ("chi_square", "inf")])
+def test_simulate_non_finite_nu_exits_2(tmp_path, capsys, family, nu):
+    conf = _sim_config(tmp_path, f"n = 40\ntau = 20\neta = 1.5\nreps = 10\nfamily = {family}\nnu = {nu}\n")
+    rc = main(["simulate", "--in", str(conf), "--seed", "1", "--out", str(tmp_path / "x.json")])
+    assert rc == 2
+    assert "nu" in capsys.readouterr().err
+
+
 def test_simulate_requires_seed(tmp_path, capsys):
     conf = _sim_config(tmp_path, "n = 40\ntau = 20\neta = 1.5\nreps = 10\n")
     with pytest.raises(SystemExit) as exc:
@@ -265,3 +306,34 @@ def test_simulate_flag_overrides(tmp_path, monkeypatch):
         "--family", "student_t", "--nu", "2",
     ])
     assert rc == 2  # overridden family needs nu > 2
+
+
+_NUMERIC_KEYS = {"n": int, "tau": int, "eta": float, "d": int, "nu": float, "reps": int, "delta": int}
+
+
+def _parses(kind, text: str) -> bool:
+    try:
+        kind(text.strip())
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@example(key="eta", value="abc")
+@example(key="reps", value="1e3")
+@given(
+    key=st.sampled_from(sorted(_NUMERIC_KEYS)),
+    # no comment, list separator or line break: the value stays one config value
+    value=st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="#,\r\n")),
+)
+def test_simulate_malformed_numeric_config_exits_2(key, value):
+    assume(not _parses(_NUMERIC_KEYS[key], value))
+    body = {"n": "40", "tau": "20", "eta": "1.5", "reps": "10", key: value}
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        conf = Path(tmp) / "study.conf"
+        conf.write_text("".join(f"{k} = {v}\n" for k, v in body.items()), encoding="utf-8")
+        rc = main(["simulate", "--in", str(conf), "--seed", "1", "--out", str(Path(tmp) / "s.json")])
+    assert rc == 2
+    assert err.getvalue().startswith("error:") and repr(key) in err.getvalue()

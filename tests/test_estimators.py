@@ -240,6 +240,13 @@ def test_interval_level_domain():
         confidence_interval(pmf, 1.0, 10, 20)
 
 
+def test_interval_rejects_index_outside_the_sample():
+    pmf = build_pmf(1.0)
+    for tau_hat in (0, 40, 500):
+        with pytest.raises(DomainError, match="tau_hat"):
+            confidence_interval(pmf, 0.95, tau_hat, 40)
+
+
 # --- serialization -----------------------------------------------------------
 
 def test_mle_json_round_trip_fields():

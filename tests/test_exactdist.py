@@ -74,6 +74,13 @@ def test_eta_guard_and_tol_range():
         build_pmf(1.0, tol=1e-3)
 
 
+@pytest.mark.parametrize("tol", [1e-323, 1e-310])
+def test_underflowing_tol_is_refused(tol):
+    # tol (1 - r) underflows, so no finite support certifies the tail
+    with pytest.raises(PrecisionError):
+        build_pmf(1.0, tol=tol)
+
+
 # --- pmf structure --------------------------------------------------------
 
 @pytest.mark.parametrize("eta", ETAS)
