@@ -65,7 +65,9 @@ _KMAX_CAP = 100_000
 
 
 def _check_eta_tol(eta: float, tol: float) -> None:
-    if not np.isfinite(eta) or eta < ETA_GUARD:
+    if not np.isfinite(eta):
+        raise ConfigurationError(f"eta must be finite, got {eta!r}")
+    if eta < ETA_GUARD:
         raise ConfigurationError(
             f"eta must be >= {ETA_GUARD} (got {eta!r}); smaller changes make the "
             "ladder series impractically long"
@@ -112,6 +114,27 @@ def build_ladder_tables(eta: float, kmax: int, tol: float = 1e-12) -> LadderTabl
     if kmax > _KMAX_CAP:
         raise PrecisionError(f"kmax {kmax} exceeds the cap {_KMAX_CAP}")
 
+    b, lbt, bt = _b_series(eta, kmax)
+    # b[m:0:-1] == rb[kmax-m:kmax]: the same values in the same order, but
+    # contiguous, so np.dot hands them to BLAS without a per-call copy.
+    rb = b[::-1].copy()
+    rbt = bt[::-1].copy()
+    q = np.empty(kmax + 1)
+    qt = np.empty(kmax + 1)
+    q[0] = qt[0] = 1.0
+    for m in range(1, kmax + 1):
+        q[m] = np.dot(rb[kmax - m : kmax], q[:m]) / m
+        qt[m] = np.dot(rbt[kmax - m : kmax], qt[:m]) / m
+
+    no_ladder, trunc = _no_ladder_mass(eta, tol)
+    return LadderTables(
+        eta=eta, kmax=kmax, tol=tol, b=b, b_tilde=bt, log_b_tilde=lbt,
+        q=q, q_tilde=qt, no_ladder=no_ladder, truncation_error=trunc,
+    )
+
+
+def _b_series(eta: float, kmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """b, log b~ and b~ over indices 0..kmax (index 0 unused, set to nan)."""
     n = np.arange(0, kmax + 1, dtype=float)
     b = np.empty(kmax + 1)
     b[0] = np.nan
@@ -121,19 +144,7 @@ def build_ladder_tables(eta: float, kmax: int, tol: float = 1e-12) -> LadderTabl
     lbt[1:] = log_b_tilde(np.arange(1, kmax + 1), eta)
     bt = np.exp(lbt)
     bt[0] = np.nan
-
-    q = np.empty(kmax + 1)
-    qt = np.empty(kmax + 1)
-    q[0] = qt[0] = 1.0
-    for m in range(1, kmax + 1):
-        q[m] = np.dot(b[m:0:-1], q[:m]) / m
-        qt[m] = np.dot(bt[m:0:-1], qt[:m]) / m
-
-    no_ladder, trunc = _no_ladder_mass(eta, tol)
-    return LadderTables(
-        eta=eta, kmax=kmax, tol=tol, b=b, b_tilde=bt, log_b_tilde=lbt,
-        q=q, q_tilde=qt, no_ladder=no_ladder, truncation_error=trunc,
-    )
+    return b, lbt, bt
 
 
 def _no_ladder_mass(eta: float, tol: float) -> tuple[float, float]:
@@ -265,7 +276,11 @@ def variance_closed_form(tables: LadderTables) -> float:
     exactly (same approximation, same total).  Requires ``kmax`` large
     enough that the n b_n tail bound is below the tables' tol.
     """
-    eta, kmax, tol = tables.eta, tables.kmax, tables.tol
+    return _variance_sums(tables.eta, tables.kmax, tables.tol, tables.b, tables.b_tilde)
+
+
+def _variance_sums(eta: float, kmax: int, tol: float, b: np.ndarray, bt: np.ndarray) -> float:
+    # b, bt: the b / b~ series over indices 0..kmax, index 0 unused
     r = np.exp(-eta * eta / 8.0)
     # sum_{n>N} n b_n <= (1/2) r^(N+1) ((N+1)(1-r) + r) / (1-r)^2
     tail = 0.5 * r ** (kmax + 1) * ((kmax + 1) * (1.0 - r) + r) / (1.0 - r) ** 2
@@ -275,8 +290,8 @@ def variance_closed_form(tables: LadderTables) -> float:
             "rebuild the tables with a larger kmax"
         )
     n = np.arange(1, kmax + 1, dtype=float)
-    b = tables.b[1:]
-    bt = tables.b_tilde[1:]
+    b = b[1:]
+    bt = bt[1:]
     B = float(np.sum(b / n))
     Bp = float(np.sum(b))
     Bpp = float(np.sum(n * b))
@@ -288,10 +303,10 @@ def variance_closed_form(tables: LadderTables) -> float:
 
 
 def suggested_kmax(eta: float, tol: float = 1e-12) -> int:
-    """Table length at which the n b_n series tail is certifiably < tol.
+    """Series length at which the n b_n tail is certifiably < tol.
 
-    Sufficient for every consumer here: the variance series is the
-    slowest-converging quantity built from the tables.
+    This sizes the b / b~ series of ``variance_for``; the n b_n sum is
+    the slowest-converging series built from b.
     """
     _check_eta_tol(eta, min(tol, 1e-6))
     r = np.exp(-eta * eta / 8.0)
@@ -304,8 +319,16 @@ def suggested_kmax(eta: float, tol: float = 1e-12) -> int:
 
 
 def variance_for(eta: float, tol: float = 1e-12) -> float:
-    """Closed-form variance with automatically sized tables."""
-    return variance_closed_form(build_ladder_tables(eta, suggested_kmax(eta, tol), tol=tol))
+    """Closed-form variance from the b / b~ series sized by ``suggested_kmax``.
+
+    O(K): only sums of b_n and b~_n enter, so no ladder tables (and no
+    q / q~ recursion) are built.  Equal, bit for bit, to
+    ``variance_closed_form`` on tables of that length.
+    """
+    _check_eta_tol(eta, tol)
+    kmax = suggested_kmax(eta, tol)
+    b, _, bt = _b_series(eta, kmax)
+    return _variance_sums(eta, kmax, tol, b, bt)
 
 
 def tv_bound(eta: float, n: int, tau: int) -> float:
@@ -329,12 +352,18 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _fmt_masses(pmf: Pmf) -> list[str]:
+    # the K+1 distinct masses formatted once, mirrored to k = -K..K
+    half = [_fmt(x) for x in pmf.probs_half.tolist()]
+    return half[:0:-1] + half
+
+
 def write_pmf_csv(pmf: Pmf, path) -> None:
     """Write `k,prob` rows with k ascending, 17 significant digits."""
+    K = pmf.support_halfwidth
+    rows = "".join(f"{k},{p}\n" for k, p in zip(range(-K, K + 1), _fmt_masses(pmf)))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("k,prob\n")
-        for k in range(-pmf.support_halfwidth, pmf.support_halfwidth + 1):
-            fh.write(f"{k},{_fmt(pmf.probs_half[abs(k)])}\n")
+        fh.write("k,prob\n" + rows)
 
 
 def read_pmf_csv(path) -> dict[int, float]:
@@ -360,7 +389,7 @@ def pmf_to_json(pmf: Pmf) -> str:
     trip.
     """
     K = pmf.support_halfwidth
-    probs = ", ".join(_fmt(pmf.probs_half[abs(k)]) for k in range(-K, K + 1))
+    probs = ", ".join(_fmt_masses(pmf))
     return (
         f'{{"eta": {_fmt(pmf.eta)}, "K": {K}, '
         f'"tail_mass_bound": {_fmt(pmf.tail_mass_bound)}, "probs": [{probs}]}}'

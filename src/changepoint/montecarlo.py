@@ -97,6 +97,11 @@ class SimConfig:
         if len(set(modes)) != len(modes):
             raise ConfigurationError(f"duplicate modes in {modes}")
         object.__setattr__(self, "modes", modes)
+        if "profile" in modes and self.d > 1 and self.n < 2 * self.d + 2:
+            # profile_criterion's admissible splits [d+1, n-d-1] are empty
+            raise ConfigurationError(
+                f"profile mode at d={self.d} needs n >= {2 * self.d + 2}, got n={self.n}"
+            )
         if self.cobb_delta is not None and self.cobb_delta < 1:
             raise ConfigurationError(f"cobb_delta must be >= 1, got {self.cobb_delta}")
 

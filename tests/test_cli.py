@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: pipelines, artifacts, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from changepoint import exactdist
+from changepoint import exactdist, montecarlo
 from changepoint.cli import main
 from changepoint.exactdist import read_pmf_csv
 
@@ -83,7 +84,57 @@ def test_dist_concentrates_for_large_eta(tmp_path, capsys):
 def test_dist_eta_guard_exits_2(tmp_path, capsys):
     rc = main(["dist", "--eta", "0.01", "--out", str(tmp_path / "p.csv")])
     assert rc == 2
-    assert "eta" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: eta must be >= 0.05")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("eta", ["inf", "nan"])
+def test_dist_non_finite_eta_exits_2(tmp_path, capsys, eta):
+    rc = main(["dist", "--eta", eta, "--out", str(tmp_path / "p.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: eta must be finite, got {eta}")
+    assert "Traceback" not in err
+
+
+# sha256 of the artifacts as produced by commit a6dea25, before the single
+# ladder build per offset law; performance work on exactdist must keep
+# them byte for byte.  (The masses come from BLAS dot products, so a BLAS
+# with a different summation order may need them re-recorded.)
+_DIST_SHA256 = {
+    "0.3554": (
+        "869d1fd2af12510afd3e5924a0fcd5d6700e8e9861e1b1e38dff1b7e12400ecd",
+        "0ead1f71331d5c37cb108a014abcdb56d49b35336b89d20f9879a9d1709cc095",
+    ),
+    "1.0": (
+        "c2e6572a930adc470cdfb72664d5a11bbc7edb2dc429e9009d35ea5e07f16d77",
+        "96aa12d423c198ecbfbbe6be34ed1ab62451c86e2d7c059320f54ca9d5a4a85a",
+    ),
+    "2.831": (
+        "78b8a394f5f4f40ec474c2f1709a92ec1600782904954f024769878ae8f2c755",
+        "9811b674abc3f702176b9b83fc6dca5c60c68a244524d24edc193eeb6ce2440f",
+    ),
+}
+_CI_SHA256 = "08cb913f049fc4f019e6975814fe004c47bae465878986443cb69ec0c99f53cf"
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("eta", sorted(_DIST_SHA256))
+def test_dist_artifacts_golden_bytes(tmp_path, eta):
+    out = tmp_path / "pmf.csv"
+    assert main(["dist", "--eta", eta, "--out", str(out), "--verify"]) == 0
+    assert (_sha256(out), _sha256(tmp_path / "pmf.json")) == _DIST_SHA256[eta]
+
+
+def test_ci_json_golden_bytes(tmp_path):
+    out = tmp_path / "ci.json"
+    argv = ["ci", "--eta", "0.7", "--level", "0.9", "--tau", "120", "--n", "300", "--origin", "1900"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert _sha256(out) == _CI_SHA256
 
 
 def test_dist_tol_underflow_exits_2(tmp_path, capsys):
@@ -272,6 +323,25 @@ def test_simulate_guards(tmp_path, capsys):
     conf2 = _sim_config(tmp_path, "n = 40\neta = 1.5\nreps = 10\n")
     rc = main(["simulate", "--in", str(conf2), "--seed", "1", "--out", str(tmp_path / "y.json")])
     assert rc == 2
+
+
+def test_simulate_refuses_profile_without_admissible_split(tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the config must be refused before any replication")
+
+    monkeypatch.setattr(montecarlo, "run_study", no_run)
+    conf = _sim_config(tmp_path, "n = 7\ntau = 3\neta = 1.5\nd = 3\nreps = 10\nmodes = profile\n")
+    rc = main(["simulate", "--in", str(conf), "--seed", "1", "--out", str(tmp_path / "x.json")])
+    assert rc == 2
+    assert "needs n >= 8" in capsys.readouterr().err
+
+
+def test_simulate_profile_at_smallest_admissible_n(tmp_path, monkeypatch):
+    monkeypatch.setenv("CHANGEPOINT_THREADS", "1")
+    conf = _sim_config(tmp_path, "n = 8\ntau = 4\neta = 1.5\nd = 3\nreps = 10\nmodes = profile\n")
+    out = tmp_path / "x.json"
+    assert main(["simulate", "--in", str(conf), "--seed", "1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["failures"]["profile"] == 0
 
 
 @pytest.mark.parametrize("family, nu", [("student_t", "nan"), ("chi_square", "inf")])

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import changepoint.exactdist as exactdist
 from changepoint.errors import (
     ConfigurationError,
     DomainError,
@@ -188,6 +189,37 @@ def test_variance_insufficient_kmax():
         variance_closed_form(build_ladder_tables(0.5, 20, tol=1e-12))
 
 
+@pytest.mark.parametrize("eta", [0.1122, 0.3554, 1.0, 2.831])
+def test_variance_for_equals_closed_form_on_tables_bit_exact(eta):
+    tables = build_ladder_tables(eta, suggested_kmax(eta, 1e-12), tol=1e-12)
+    assert variance_for(eta) == variance_closed_form(tables)
+
+
+def test_variance_for_builds_no_ladder_tables(monkeypatch):
+    expected = variance_for(0.7)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("variance_for must not build ladder tables")
+
+    monkeypatch.setattr(exactdist, "build_ladder_tables", refuse)
+    assert variance_for(0.7) == expected
+
+
+@pytest.mark.parametrize("eta", [0.7, 2.0])
+def test_recursion_matches_strided_reference_bit_exact(eta):
+    kmax = suggested_kmax(eta, 1e-12)
+    t = build_ladder_tables(eta, kmax, tol=1e-12)
+    b, bt = t.b, t.b_tilde
+    q = np.empty(kmax + 1)
+    qt = np.empty(kmax + 1)
+    q[0] = qt[0] = 1.0
+    for m in range(1, kmax + 1):
+        q[m] = np.dot(b[m:0:-1], q[:m]) / m
+        qt[m] = np.dot(bt[m:0:-1], qt[:m]) / m
+    assert np.array_equal(t.q, q)
+    assert np.array_equal(t.q_tilde, qt)
+
+
 # --- tv bound -------------------------------------------------------------
 
 def test_tv_bound_values_and_symmetry():
@@ -216,6 +248,25 @@ def test_csv_round_trip_bit_exact(tmp_path):
     write_pmf_csv(pmf, path)
     back = read_pmf_csv(path)
     assert back == pmf.as_mapping()
+
+
+def _fmt17(x) -> str:
+    return format(float(x), ".17g")
+
+
+@pytest.mark.parametrize("eta", [0.5, 1.6, 2.831])
+def test_writers_match_per_offset_reference(eta, tmp_path):
+    pmf = build_pmf(eta)
+    K = pmf.support_halfwidth
+    masses = [_fmt17(pmf.probs_half[abs(k)]) for k in range(-K, K + 1)]
+    path = tmp_path / "pmf.csv"
+    write_pmf_csv(pmf, path)
+    rows = "".join(f"{k},{p}\n" for k, p in zip(range(-K, K + 1), masses))
+    assert path.read_bytes() == ("k,prob\n" + rows).encode()
+    assert pmf_to_json(pmf) == (
+        f'{{"eta": {_fmt17(eta)}, "K": {K}, "tail_mass_bound": {_fmt17(pmf.tail_mass_bound)}, '
+        f'"probs": [{", ".join(masses)}]}}'
+    )
 
 
 def test_json_shape(tmp_path):

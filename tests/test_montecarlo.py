@@ -45,6 +45,15 @@ def test_config_validation():
         _cfg(master_seed=-1)
 
 
+def test_config_refuses_profile_without_admissible_split():
+    # profile splits are [d+1, n-d-1] at d > 1: empty below n = 2d + 2
+    with pytest.raises(ConfigurationError, match="n >= 8"):
+        _cfg(n=7, tau=3, d=3, modes=("profile",))
+    _cfg(n=8, tau=4, d=3, modes=("profile",))
+    _cfg(n=7, tau=3, d=3, modes=("known", "cobb"))
+    _cfg(n=4, tau=2, d=1, modes=("profile",))
+
+
 # --- generation --------------------------------------------------------------
 
 def test_generation_bit_identical_per_rep():
