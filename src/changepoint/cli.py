@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 usage or parse problem, 3 degenerate data.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -133,6 +134,12 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text + "\n")
 
 
+def _write_json(path: str | None, record, sort_keys: bool = True) -> None:
+    """Encode a report record and write it, if a path is given: one dump per file."""
+    if path:
+        _write(path, json.dumps(record, sort_keys=sort_keys))
+
+
 # --- commands -------------------------------------------------------------
 
 def cmd_dist(args) -> int:
@@ -177,13 +184,13 @@ def cmd_detect(args) -> int:
     else:
         print(f"covariance change test unavailable: {cov_error}")
     obj = {
-        "mean": json.loads(detect.detection_report_to_json(mean_report)),
+        "mean": detect.detection_report_to_json(mean_report),
         "covariance_on_deviations": (
-            None if cov_report is None else json.loads(detect.detection_report_to_json(cov_report))
+            None if cov_report is None else detect.detection_report_to_json(cov_report)
         ),
         "threshold": DETECTION_THRESHOLD,
     }
-    _write(args.out, json.dumps(obj, sort_keys=True))
+    _write_json(args.out, obj)
     return 0
 
 
@@ -206,7 +213,8 @@ def cmd_estimate(args) -> int:
     result = estimators.mle_profile(data)
     where = _calendar_label(result.tau_hat, data.time_origin)
     print(f"tau_hat = {result.tau_hat}{where} (profile criterion)")
-    _write(args.out, estimators.mle_result_to_json(result))
+    # unsorted: the estimate report keeps its field order (tau_hat, mode, criterion, params)
+    _write_json(args.out, estimators.mle_result_to_json(result), sort_keys=False)
     return 0
 
 
@@ -214,7 +222,7 @@ def cmd_ci(args) -> int:
     pmf = exactdist.build_pmf(args.eta, tol=args.tol)
     interval = estimators.confidence_interval(pmf, args.level, args.tau, args.n, args.origin)
     _print_interval("interval", interval)
-    _write(args.out, json.dumps(_interval_json(interval), sort_keys=True))
+    _write_json(args.out, dataclasses.asdict(interval))
     return 0
 
 
@@ -226,20 +234,6 @@ def _print_interval(label: str, iv) -> None:
     if iv.indices is not None and not iv.contiguous:
         span += f" non-contiguous set {list(iv.indices)}"
     print(f"{label}: {span} at level {iv.level} (achieved {iv.achieved:.4f}){extra}")
-
-
-def _interval_json(iv) -> dict:
-    return {
-        "lo": iv.lo,
-        "hi": iv.hi,
-        "level": iv.level,
-        "achieved": iv.achieved,
-        "clipped": iv.clipped,
-        "halfwidth": iv.halfwidth,
-        "indices": None if iv.indices is None else list(iv.indices),
-        "contiguous": iv.contiguous,
-        "calendar": None if iv.calendar is None else list(iv.calendar),
-    }
 
 
 def cmd_analyze(args) -> int:
@@ -255,12 +249,12 @@ def cmd_analyze(args) -> int:
     }
     det = detect.mean_change_statistic(data)
     significant = det.p_value is not None and det.p_value < DETECTION_THRESHOLD
-    report["detection"] = json.loads(detect.detection_report_to_json(det))
+    report["detection"] = detect.detection_report_to_json(det)
     report["significant"] = significant
     _print_detection("mean change", det, data)
     if not significant:
         print("no significant mean change at the threshold; stopping after detection")
-        _write(args.out, json.dumps(report, sort_keys=True))
+        _write_json(args.out, report)
         return 0
 
     fit = estimators.mle_profile(data)
@@ -296,7 +290,7 @@ def cmd_analyze(args) -> int:
     else:
         print(f"conditional interval unavailable: {conditional_err}")
 
-    report["estimation"] = json.loads(estimators.mle_result_to_json(fit))
+    report["estimation"] = estimators.mle_result_to_json(fit)
     report["eta_hat"] = eta_hat
     report["distribution"] = {
         "eta": eta_hat,
@@ -307,8 +301,8 @@ def cmd_analyze(args) -> int:
     report["intervals"] = {
         "level": args.level,
         "delta": delta,
-        "unconditional": _interval_json(unconditional),
-        "conditional": None if conditional_iv is None else _interval_json(conditional_iv),
+        "unconditional": dataclasses.asdict(unconditional),
+        "conditional": None if conditional_iv is None else dataclasses.asdict(conditional_iv),
         "conditional_error": conditional_err,
     }
     report["diagnostics"] = {
@@ -318,7 +312,7 @@ def cmd_analyze(args) -> int:
         "mahalanobis_sq": diag.mahalanobis_sq.tolist(),
         "deviations": diag.deviations.tolist(),
     }
-    _write(args.out, json.dumps(report, sort_keys=True))
+    _write_json(args.out, report)
     return 0
 
 
@@ -405,11 +399,10 @@ def cmd_simulate(args) -> int:
                 line += f" mass@center={report.cobb_mass_at_center:.4f}"
             print(line)
     if len(reports) == 1:
-        _write(args.out, montecarlo.report_to_json(reports[0]))
+        _write_json(args.out, montecarlo.report_to_json(reports[0]))
         montecarlo.report_to_csv(reports[0], _sibling(args.out, ".json", ".csv"))
     else:
-        body = "[" + ", ".join(montecarlo.report_to_json(r) for r in reports) + "]"
-        _write(args.out, body)
+        _write_json(args.out, [montecarlo.report_to_json(r) for r in reports])
         for i, r in enumerate(reports):
             montecarlo.report_to_csv(r, _sibling(args.out, ".json", f".cell{i}.csv"))
     print(f"wrote {args.out}")

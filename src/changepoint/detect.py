@@ -19,14 +19,13 @@ more rows than columns; the trimmed range is recorded in the report.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateDataError, DomainError
-from .estimators import segment_fit, split_criterion, split_scatters
+from .estimators import finite_list, segment_fit, split_criterion, split_scatters
 from .model import Dataset
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "p_value",
     "residual_diagnostics",
     "detection_report_to_json",
-    "trace_to_csv",
 ]
 
 # The triple logarithm needs log log n > 1, i.e. n > e^e ~ 15.15.
@@ -202,25 +200,15 @@ def residual_diagnostics(data: Dataset, tau_hat: int) -> DiagnosticsReport:
 
 # --- serialization -------------------------------------------------------
 
-def detection_report_to_json(report: DetectionReport) -> str:
-    trace = [None if not np.isfinite(v) else float(v) for v in report.trace]
-    return json.dumps(
-        {
-            "kind": report.statistic_kind,
-            "U": report.U,
-            "W": report.W,
-            "p_value": report.p_value,
-            "p": report.p,
-            "tau_hat": report.tau_hat,
-            "trace": trace,
-            "admissible": list(report.admissible),
-        }
-    )
-
-
-def trace_to_csv(report: DetectionReport, path) -> None:
-    """Write the per-candidate trace as `t,statistic` rows."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,statistic\n")
-        for i, v in enumerate(report.trace, start=1):
-            fh.write(f"{i},{'' if not np.isfinite(v) else format(float(v), '.17g')}\n")
+def detection_report_to_json(report: DetectionReport) -> dict:
+    """The report as a JSON-ready record; inadmissible splits are None."""
+    return {
+        "kind": report.statistic_kind,
+        "U": report.U,
+        "W": report.W,
+        "p_value": report.p_value,
+        "p": report.p,
+        "tau_hat": report.tau_hat,
+        "trace": finite_list(report.trace),
+        "admissible": list(report.admissible),
+    }

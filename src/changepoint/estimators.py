@@ -17,7 +17,6 @@ smallest index, so repeated runs are bit identical.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -37,7 +36,6 @@ __all__ = [
     "cobb_conditional",
     "confidence_interval",
     "mle_result_to_json",
-    "conditional_to_json",
 ]
 
 
@@ -69,7 +67,6 @@ class ConditionalPmf:
 
     delta: int
     probs: np.ndarray  # index l + delta
-    error_rate_target: float = 1e-5
 
     def prob(self, l: int) -> float:
         if abs(l) > self.delta:
@@ -356,17 +353,19 @@ def _params_json(params: ChangeModel | EstimatedParams):
     return {"mu1": val(params.mu1), "mu2": val(params.mu2), "sigma": val(params.sigma)}
 
 
-def mle_result_to_json(result: MleResult) -> str:
-    trace = [None if not np.isfinite(v) else float(v) for v in result.walk_trace]
-    return json.dumps(
-        {
-            "tau_hat": result.tau_hat,
-            "mode": result.mode,
-            "criterion": trace,
-            "params": _params_json(result.params_used),
-        }
-    )
+def finite_list(a: np.ndarray) -> list:
+    """``a.tolist()`` of a 1-D array, every non-finite entry replaced by None (JSON null)."""
+    out = a.tolist()
+    for i in np.flatnonzero(~np.isfinite(a)).tolist():
+        out[i] = None
+    return out
 
 
-def conditional_to_json(cond: ConditionalPmf) -> str:
-    return json.dumps({"delta": cond.delta, "probs": [float(p) for p in cond.probs]})
+def mle_result_to_json(result: MleResult) -> dict:
+    """The fit as a JSON-ready record; inadmissible splits are None."""
+    return {
+        "tau_hat": result.tau_hat,
+        "mode": result.mode,
+        "criterion": finite_list(result.walk_trace),
+        "params": _params_json(result.params_used),
+    }

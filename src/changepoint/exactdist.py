@@ -81,9 +81,9 @@ class LadderTables:
     """Ladder sequences of the drift -eta^2/2, variance eta^2 walk.
 
     Index 0 of ``q``/``q_tilde`` holds the convention value 1; index n of
-    ``b``/``b_tilde``/``log_b_tilde`` holds the n-th term (index 0 unused,
-    set to nan).  ``no_ladder`` is 1 - ||G+|| = P(the walk never enters
-    (0, inf)), computed from a series truncated with certified error
+    ``b``/``b_tilde`` holds the n-th term (index 0 unused, set to nan).
+    ``no_ladder`` is 1 - ||G+|| = P(the walk never enters (0, inf)),
+    computed from a series truncated with certified error
     ``truncation_error`` < tol.
     """
 
@@ -92,7 +92,6 @@ class LadderTables:
     tol: float
     b: np.ndarray
     b_tilde: np.ndarray
-    log_b_tilde: np.ndarray
     q: np.ndarray
     q_tilde: np.ndarray
     no_ladder: float
@@ -114,7 +113,7 @@ def build_ladder_tables(eta: float, kmax: int, tol: float = 1e-12) -> LadderTabl
     if kmax > _KMAX_CAP:
         raise PrecisionError(f"kmax {kmax} exceeds the cap {_KMAX_CAP}")
 
-    b, lbt, bt = _b_series(eta, kmax)
+    b, bt = _b_series(eta, kmax)
     # b[m:0:-1] == rb[kmax-m:kmax]: the same values in the same order, but
     # contiguous, so np.dot hands them to BLAS without a per-call copy.
     rb = b[::-1].copy()
@@ -128,13 +127,13 @@ def build_ladder_tables(eta: float, kmax: int, tol: float = 1e-12) -> LadderTabl
 
     no_ladder, trunc = _no_ladder_mass(eta, tol)
     return LadderTables(
-        eta=eta, kmax=kmax, tol=tol, b=b, b_tilde=bt, log_b_tilde=lbt,
+        eta=eta, kmax=kmax, tol=tol, b=b, b_tilde=bt,
         q=q, q_tilde=qt, no_ladder=no_ladder, truncation_error=trunc,
     )
 
 
-def _b_series(eta: float, kmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """b, log b~ and b~ over indices 0..kmax (index 0 unused, set to nan)."""
+def _b_series(eta: float, kmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """b and b~ over indices 0..kmax (index 0 unused, set to nan); b~ via log b~."""
     n = np.arange(0, kmax + 1, dtype=float)
     b = np.empty(kmax + 1)
     b[0] = np.nan
@@ -144,7 +143,7 @@ def _b_series(eta: float, kmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     lbt[1:] = log_b_tilde(np.arange(1, kmax + 1), eta)
     bt = np.exp(lbt)
     bt[0] = np.nan
-    return b, lbt, bt
+    return b, bt
 
 
 def _no_ladder_mass(eta: float, tol: float) -> tuple[float, float]:
@@ -306,15 +305,15 @@ def suggested_kmax(eta: float, tol: float = 1e-12) -> int:
     """Series length at which the n b_n tail is certifiably < tol.
 
     This sizes the b / b~ series of ``variance_for``; the n b_n sum is
-    the slowest-converging series built from b.
+    the slowest-converging series built from b.  Only O(k) series are
+    built at this length, so it is not held to the O(k^2) tables' cap
+    (k <= 177,513 at eta = ETA_GUARD, tol = 1e-12).
     """
     _check_eta_tol(eta, min(tol, 1e-6))
     r = np.exp(-eta * eta / 8.0)
     k = 8
     while 0.5 * r ** (k + 1) * ((k + 1) * (1.0 - r) + r) / (1.0 - r) ** 2 >= tol:
         k = k + max(8, k // 2)
-        if k > _KMAX_CAP:
-            raise PrecisionError(f"kmax for eta={eta}, tol={tol} exceeds the {_KMAX_CAP} cap")
     return k
 
 
@@ -327,7 +326,7 @@ def variance_for(eta: float, tol: float = 1e-12) -> float:
     """
     _check_eta_tol(eta, tol)
     kmax = suggested_kmax(eta, tol)
-    b, _, bt = _b_series(eta, kmax)
+    b, bt = _b_series(eta, kmax)
     return _variance_sums(eta, kmax, tol, b, bt)
 
 

@@ -16,7 +16,6 @@ parallelism of :func:`run_study` (unset or 0 means all available cores,
 
 from __future__ import annotations
 
-import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -386,33 +385,31 @@ def ladder_oracle(eta: float, nmax: int, replications: int, seed: int) -> Ladder
 
 # --- serialization -------------------------------------------------------
 
-def report_to_json(report: SimulationReport) -> str:
+def report_to_json(report: SimulationReport) -> dict:
+    """The study cell as a JSON-ready record."""
     cfg = report.config
-    return json.dumps(
-        {
-            "config": {
-                "n": cfg.n,
-                "tau": cfg.tau,
-                "eta": cfg.eta,
-                "d": cfg.d,
-                "family": cfg.family,
-                "nu": cfg.nu,
-                "modes": list(cfg.modes),
-                "cobb_delta": cfg.cobb_delta,
-                "replications": cfg.replications,
-                "master_seed": cfg.master_seed,
-                "seed_scheme": report.seed_scheme,
-            },
-            "empirical": {m: {str(k): v for k, v in sorted(emp.items())} for m, emp in report.empirical.items()},
-            "tv": report.tv,
-            "bias": report.bias,
-            "mse": report.mse,
-            "failures": report.failures,
-            "cobb_mass_at_center": report.cobb_mass_at_center,
-            "cobb_clamped": report.cobb_clamped,
+    return {
+        "config": {
+            "n": cfg.n,
+            "tau": cfg.tau,
+            "eta": cfg.eta,
+            "d": cfg.d,
+            "family": cfg.family,
+            "nu": cfg.nu,
+            "modes": list(cfg.modes),
+            "cobb_delta": cfg.cobb_delta,
+            "replications": cfg.replications,
+            "master_seed": cfg.master_seed,
+            "seed_scheme": report.seed_scheme,
         },
-        sort_keys=True,
-    )
+        "empirical": {m: {str(k): v for k, v in sorted(emp.items())} for m, emp in report.empirical.items()},
+        "tv": report.tv,
+        "bias": report.bias,
+        "mse": report.mse,
+        "failures": report.failures,
+        "cobb_mass_at_center": report.cobb_mass_at_center,
+        "cobb_clamped": report.cobb_clamped,
+    }
 
 
 def report_to_csv(report: SimulationReport, path) -> None:

@@ -137,6 +137,38 @@ def test_ci_json_golden_bytes(tmp_path):
     assert _sha256(out) == _CI_SHA256
 
 
+# sha256 of the data reports as produced by commit c9d6f84, before the
+# reports became plain records dumped once by the CLI; serialization work
+# must keep them byte for byte.  (The same BLAS caveat applies.)
+_REPORT_SHA256 = {
+    "analyze": "f21894965f6da6b20ba94edf42ee6161485ef313f551fcd64ab8222bac106532",
+    "detect": "618249deb7b1c3dffc8016ea0248e0ecbf56b9c310bf05acf51a57a389e6664f",
+    "estimate": "639a4d0a604e2699940ab825bdb015a21057fdef4b4433cc1a93accdf818d086",
+}
+_SIMULATE_SHA256 = {
+    "grid.json": "e036130dbf72621dd94ea3d37666c60ea1afbbb81754d489fe329ac352f2ccf5",
+    "grid.cell0.csv": "fba20b1f7d1155b1225881b99374ea4deaf12031852cbde4620ac597e98fffd6",
+    "grid.cell1.csv": "0b52653e3d22c820ea3850a91b7c4dda53f09b8956389412a888de0033201a53",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_REPORT_SHA256))
+def test_data_report_golden_bytes(creek_csv, tmp_path, monkeypatch, command):
+    # relative --in: analyze echoes the input path into its report
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--in", creek_csv.name, "--out", "report.json"]) == 0
+    assert _sha256(tmp_path / "report.json") == _REPORT_SHA256[command]
+
+
+def test_simulate_grid_golden_bytes(tmp_path, monkeypatch):
+    monkeypatch.setenv("CHANGEPOINT_THREADS", "1")
+    conf = tmp_path / "study.conf"
+    conf.write_text("n = 40\ntau = 20\neta = 1.5, 2.5\nreps = 300\nmodes = known, cobb\n")
+    out = tmp_path / "grid.json"
+    assert main(["simulate", "--in", str(conf), "--seed", "11", "--out", str(out)]) == 0
+    assert {name: _sha256(tmp_path / name) for name in _SIMULATE_SHA256} == _SIMULATE_SHA256
+
+
 def test_dist_tol_underflow_exits_2(tmp_path, capsys):
     rc = main(["dist", "--eta", "1", "--tol", "1e-323", "--out", str(tmp_path / "p.csv")])
     assert rc == 2

@@ -4,14 +4,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from changepoint.errors import DegenerateDataError, DomainError
 from changepoint.estimators import (
     ConditionalPmf,
     cobb_conditional,
-    conditional_to_json,
     confidence_interval,
     default_cobb_delta,
+    finite_list,
     mle_known,
     mle_profile,
     mle_result_to_json,
@@ -254,7 +257,7 @@ def test_mle_json_round_trip_fields():
     y = rng.standard_normal((20, 2))
     y[10:] += 1.0
     fit = mle_profile(Dataset(y))
-    obj = json.loads(mle_result_to_json(fit))
+    obj = json.loads(json.dumps(mle_result_to_json(fit)))
     assert obj["tau_hat"] == fit.tau_hat
     assert obj["mode"] == "profile"
     assert len(obj["criterion"]) == 19
@@ -262,7 +265,25 @@ def test_mle_json_round_trip_fields():
     assert "mu1" in obj["params"]
 
 
-def test_conditional_json():
-    cond = ConditionalPmf(delta=1, probs=np.array([0.25, 0.5, 0.25]))
-    obj = json.loads(conditional_to_json(cond))
-    assert obj == {"delta": 1, "probs": [0.25, 0.5, 0.25]}
+# nan, +-inf, signed zeros, subnormals and the largest finite value
+_EDGE_FLOATS = [
+    np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2250738585072009e-308, 1.7976931348623157e308,
+]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@example(a=np.array(_EDGE_FLOATS))
+@example(a=np.array([]))
+@given(
+    a=arrays(
+        np.float64,
+        st.integers(0, 40),
+        elements=st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_subnormal=True)),
+    )
+)
+def test_finite_list_matches_per_element_nulls(a):
+    out = finite_list(a)
+    expected = [None if not np.isfinite(v) else float(v) for v in a]
+    # type and repr: list == would let -0.0 stand for 0.0, np.float64 for float
+    assert [(type(v), repr(v)) for v in out] == [(type(v), repr(v)) for v in expected]
+    json.dumps(out, allow_nan=False)

@@ -178,6 +178,17 @@ def test_variance_matches_direct_second_moment(eta, tables):
     assert closed >= 0.0
 
 
+def test_variance_for_long_series_eta_below_table_cap():
+    # eta in [0.0504, 0.0681): build_pmf fits under the tables' cap, while
+    # the O(K) variance series is longer than that cap
+    eta = 0.06
+    assert suggested_kmax(eta) > exactdist._KMAX_CAP
+    pmf = build_pmf(eta)
+    k = np.arange(1, pmf.support_halfwidth + 1, dtype=float)
+    direct = 2.0 * float(np.sum(k * k * pmf.probs_half[1:]))
+    assert variance_for(eta) == pytest.approx(direct, rel=1e-9)
+
+
 def test_variance_decreasing_in_eta():
     vals = [variance_for(eta) for eta in (1.0, 1.5, 2.0, 2.5)]
     assert vals == sorted(vals, reverse=True)

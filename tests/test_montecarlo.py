@@ -1,5 +1,7 @@
 """Simulation engine: determinism, noise families, oracles, study runs."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -134,7 +136,8 @@ def test_study_reproducible_and_mode_shapes(monkeypatch):
     pmf = build_pmf(2.0)
     r1 = run_study(cfg, pmf)
     r2 = run_study(cfg, pmf)
-    assert report_to_json(r1) == report_to_json(r2)
+    text = json.dumps(report_to_json(r1), sort_keys=True)
+    assert text == json.dumps(report_to_json(r2), sort_keys=True)
     for m in cfg.modes:
         total = sum(r1.empirical[m].values())
         assert total == pytest.approx(cfg.replications, rel=1e-12)
@@ -152,7 +155,9 @@ def test_study_parallel_matches_serial(monkeypatch):
     parallel = run_study(cfg, pmf)
     assert serial.empirical["known"] == parallel.empirical["known"]
     assert serial.empirical["cobb"] == parallel.empirical["cobb"]
-    assert report_to_json(serial) == report_to_json(parallel)
+    assert json.dumps(report_to_json(serial), sort_keys=True) == json.dumps(
+        report_to_json(parallel), sort_keys=True
+    )
 
 
 def test_study_eta_mismatch_rejected():
