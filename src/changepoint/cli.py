@@ -261,6 +261,11 @@ def cmd_analyze(args) -> int:
     tau_hat = fit.tau_hat
     params = fit.params_used
     if data.d == 1:
+        if params.sigma == 0:
+            # an exact fit is a property of the data, not a bad argument
+            raise DegenerateDataError(
+                f"pooled sigma is 0 at tau_hat={tau_hat}: both segments are constant"
+            )
         change = model.standardized_change_univariate(params.mu1, params.mu2, params.sigma)
     else:
         change = model.standardized_change_multivariate(params.mu1, params.mu2, params.sigma)

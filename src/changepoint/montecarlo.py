@@ -1,8 +1,8 @@
 """Seeded simulation engine: study runner and brute-force oracles.
 
-Reproducibility contract: every replication draws from its own Philox
-substream, obtained by jumping a master-keyed generator ``rep_index``
-times (counter-based, O(1) per replication).  Identical
+Reproducibility contract: replication ``rep_index`` draws from the
+master-keyed Philox stream at counter block ``[0, 0, rep_index, 0]``,
+the stream ``jumped(rep_index)`` defines ("philox-jumped").  Identical
 (master_seed, rep_index) pairs therefore give bit-identical data no
 matter how replications are batched, ordered, or spread across worker
 processes.  Replications are tallied in fixed chunks of 10,000 whose
@@ -16,9 +16,11 @@ parallelism of :func:`run_study` (unset or 0 means all available cores,
 
 from __future__ import annotations
 
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import reduce
 from typing import Mapping
 
 import numpy as np
@@ -106,7 +108,8 @@ class SimConfig:
 
 
 def _rep_rng(master_seed: int, rep_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=master_seed).jumped(rep_index))
+    # counter block [0, 0, rep_index, 0], where jumped(rep_index) lands
+    return np.random.Generator(np.random.Philox(key=master_seed, counter=rep_index << 128))
 
 
 def _draw_series(config: SimConfig, rng: np.random.Generator) -> np.ndarray:
@@ -169,7 +172,6 @@ class SimulationReport:
     failures: dict[str, int]
     cobb_mass_at_center: float | None = None
     cobb_clamped: int = 0
-    seed_scheme: str = _SEED_SCHEME
 
 
 def _accumulate_range(config: SimConfig, start: int, stop: int):
@@ -201,13 +203,9 @@ def _accumulate_range(config: SimConfig, start: int, stop: int):
             d_eff = min(d_r, tau_hat - 1, n - 1 - tau_hat)
             if d_eff < d_r:
                 cobb_clamped += 1
-            if d_eff < 1:
-                counts["cobb"][tau_hat - 1] += 1.0
-                cobb_center += 1.0
-            else:
-                w = cobb_window(walk, tau_hat, d_eff)
-                counts["cobb"][tau_hat - d_eff - 1 : tau_hat + d_eff] += w
-                cobb_center += float(w[d_eff])
+            w = cobb_window(walk, tau_hat, d_eff)
+            counts["cobb"][tau_hat - d_eff - 1 : tau_hat + d_eff] += w
+            cobb_center += float(w[d_eff])
     return counts, failures, cobb_center, cobb_clamped
 
 
@@ -223,9 +221,7 @@ def _worker_count(replications: int) -> int:
         if workers < 1:
             workers = os.cpu_count() or 1
     # below ~20k replications the fork overhead dominates
-    if replications < 20_000:
-        return 1
-    return max(1, min(workers, replications // 5_000))
+    return 1 if replications < 20_000 else workers
 
 
 def run_study(config: SimConfig, theoretical: Pmf) -> SimulationReport:
@@ -251,16 +247,12 @@ def run_study(config: SimConfig, theoretical: Pmf) -> SimulationReport:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_accumulate_range, [config] * len(starts), starts, stops))
 
-    counts = {m: np.zeros(config.n - 1) for m in config.modes}
-    failures = dict.fromkeys(config.modes, 0)
-    cobb_center = 0.0
-    cobb_clamped = 0
-    for c, f, cc, cl in parts:
-        for m in config.modes:
-            counts[m] += c[m]
-            failures[m] += f[m]
-        cobb_center += cc
-        cobb_clamped += cl
+    chunk_counts, chunk_failures, chunk_centers, chunk_clamped = zip(*parts)
+    counts = {m: sum(c[m] for c in chunk_counts) for m in config.modes}
+    failures = {m: sum(f[m] for f in chunk_failures) for m in config.modes}
+    # plain left-to-right float additions: from Python 3.12 sum() compensates
+    cobb_center = reduce(operator.add, chunk_centers)
+    cobb_clamped = sum(chunk_clamped)
 
     for m, nfail in failures.items():
         if nfail > 0.001 * R:
@@ -299,6 +291,16 @@ def default_horizon(eta: float, bound: float = 1e-6) -> int:
     return int(np.ceil(8.0 * np.log(4.0 / bound) / (eta * eta)))
 
 
+def _walk_batches(eta: float, arms: int, length: int, replications: int, seed: int):
+    """``arms`` limiting walks (drift -eta^2/2, step sd eta) per replication, in
+    batches of _ORACLE_BATCH; each batch is one draw, filled first arm first."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    for done in range(0, replications, _ORACLE_BATCH):
+        m = min(_ORACLE_BATCH, replications - done)
+        steps = rng.normal(-eta * eta / 2.0, eta, (arms, m, length))
+        yield np.cumsum(steps, axis=2, out=steps)
+
+
 def oracle_xi_infinity(
     eta: float, horizon: int, replications: int, seed: int
 ) -> dict[int, float]:
@@ -315,14 +317,8 @@ def oracle_xi_infinity(
             f"horizon {horizon} leaves argmax-beyond-horizon bound above 1e-6 "
             f"(need >= {default_horizon(eta)})"
         )
-    rng = np.random.Generator(np.random.Philox(key=seed))
     counts = np.zeros(2 * horizon + 1, dtype=np.int64)
-    done = 0
-    drift, scale = -eta * eta / 2.0, eta
-    while done < replications:
-        m = min(_ORACLE_BATCH, replications - done)
-        pos = np.cumsum(rng.normal(drift, scale, (m, horizon)), axis=1)
-        neg = np.cumsum(rng.normal(drift, scale, (m, horizon)), axis=1)
+    for pos, neg in _walk_batches(eta, 2, horizon, replications, seed):
         max_p = pos.max(axis=1)
         max_n = neg.max(axis=1)
         arg_p = pos.argmax(axis=1) + 1
@@ -333,7 +329,6 @@ def oracle_xi_infinity(
             np.where(max_p > max_n, arg_p, -arg_n),
         )
         np.add.at(counts, k + horizon, 1)
-        done += m
     return {
         int(k): float(c) / replications
         for k, c in zip(range(-horizon, horizon + 1), counts)
@@ -357,21 +352,15 @@ def ladder_oracle(eta: float, nmax: int, replications: int, seed: int) -> Ladder
     """Estimate q_k = P(T- > k) and q~_k = E[e^{-S_k} 1{T- > k}] for k <= nmax."""
     if nmax < 1:
         raise ConfigurationError(f"nmax must be >= 1, got {nmax}")
-    rng = np.random.Generator(np.random.Philox(key=seed))
     sum_q = np.zeros(nmax)
     sum_w = np.zeros(nmax)
     sum_w2 = np.zeros(nmax)
-    done = 0
-    drift, scale = -eta * eta / 2.0, eta
-    while done < replications:
-        m = min(_ORACLE_BATCH, replications - done)
-        S = np.cumsum(rng.normal(drift, scale, (m, nmax)), axis=1)
+    for (S,) in _walk_batches(eta, 1, nmax, replications, seed):
         alive = np.minimum.accumulate(S > 0.0, axis=1)
         sum_q += alive.sum(axis=0)
         w = np.exp(-S, where=alive, out=np.zeros_like(S)) * alive
         sum_w += w.sum(axis=0)
         sum_w2 += (w * w).sum(axis=0)
-        done += m
     R = replications
     q_hat = np.concatenate([[1.0], sum_q / R])
     q_se = np.concatenate([[0.0], np.sqrt(np.clip(q_hat[1:] * (1 - q_hat[1:]), 0, None) / R)])
@@ -387,21 +376,8 @@ def ladder_oracle(eta: float, nmax: int, replications: int, seed: int) -> Ladder
 
 def report_to_json(report: SimulationReport) -> dict:
     """The study cell as a JSON-ready record."""
-    cfg = report.config
     return {
-        "config": {
-            "n": cfg.n,
-            "tau": cfg.tau,
-            "eta": cfg.eta,
-            "d": cfg.d,
-            "family": cfg.family,
-            "nu": cfg.nu,
-            "modes": list(cfg.modes),
-            "cobb_delta": cfg.cobb_delta,
-            "replications": cfg.replications,
-            "master_seed": cfg.master_seed,
-            "seed_scheme": report.seed_scheme,
-        },
+        "config": {**asdict(report.config), "seed_scheme": _SEED_SCHEME},
         "empirical": {m: {str(k): v for k, v in sorted(emp.items())} for m, emp in report.empirical.items()},
         "tv": report.tv,
         "bias": report.bias,

@@ -169,6 +169,43 @@ def test_simulate_grid_golden_bytes(tmp_path, monkeypatch):
     assert {name: _sha256(tmp_path / name) for name in _SIMULATE_SHA256} == _SIMULATE_SHA256
 
 
+# sha256 of single-cell simulate outputs (JSON, CSV) as produced by commit
+# f9be3c9 at CHANGEPOINT_THREADS=1, before the engine addressed substreams
+# directly: a three-chunk known/cobb cell (the chunk merge), a d = 3
+# student_t profile cell, and a chi_square cobb cell whose delta outruns
+# both sample edges (every window clamped, some to width 0).
+_SIMULATE_CELL_SHA256 = {
+    "known_chunks": (
+        "n = 60\ntau = 30\neta = 1.0\nreps = 25000\nmodes = known, cobb\n",
+        "74b1e30d00b96680f4992ec1ff7ed168e65fdf69233d7d4777b80098621ae99e",
+        "6e8ea9e176a1a30405addc49c79b471364d75553229ad956fa36b599edf796d4",
+    ),
+    "student_t_d3": (
+        "n = 40\ntau = 20\neta = 1.5\nd = 3\nfamily = student_t\nnu = 5\nreps = 300\n"
+        "modes = profile\n",
+        "e439a244a7d886ddb857a526a861faa149dd4755c633dcf01adee10a545a8435",
+        "5a9f5a4d1cbf0c24694506bdf4cfd74bbb229e73d5bb447fb4b9d67907651bd3",
+    ),
+    "chi_square_clamped": (
+        "n = 30\ntau = 15\neta = 0.5\nfamily = chi_square\nnu = 3\ndelta = 20\nreps = 500\n"
+        "modes = cobb\n",
+        "72973c71566d25351d0923005d9258b229f18ce047b9d89762015bffc2192658",
+        "8ff6da9d1e4b3fbaad035bc9491ebe58836b23bb13a22c30f567c0fa003f003c",
+    ),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(_SIMULATE_CELL_SHA256))
+def test_simulate_cell_golden_bytes(tmp_path, monkeypatch, cell):
+    monkeypatch.setenv("CHANGEPOINT_THREADS", "1")
+    body, json_sha, csv_sha = _SIMULATE_CELL_SHA256[cell]
+    conf = tmp_path / "study.conf"
+    conf.write_text(body)
+    out = tmp_path / "cell.json"
+    assert main(["simulate", "--in", str(conf), "--seed", "29", "--out", str(out)]) == 0
+    assert (_sha256(out), _sha256(tmp_path / "cell.csv")) == (json_sha, csv_sha)
+
+
 def test_dist_tol_underflow_exits_2(tmp_path, capsys):
     rc = main(["dist", "--eta", "1", "--tol", "1e-323", "--out", str(tmp_path / "p.csv")])
     assert rc == 2
@@ -253,6 +290,17 @@ def test_analyze_degenerate_data_exits_3(tmp_path, capsys):
     path.write_text("a\n" + "1.0\n" * 30)
     rc = main(["analyze", "--in", str(path)])
     assert rc == 3
+
+
+def test_analyze_exact_fit_exits_3(tmp_path, capsys):
+    # a noiseless step: the profile fit has zero pooled variance
+    path = tmp_path / "step.csv"
+    path.write_text("a\n" + "0\n" * 10 + "1\n" * 10)
+    assert main(["analyze", "--in", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert main(["estimate", "--in", str(path)]) == 0
 
 
 def test_analyze_log_transform_flag(tmp_path):

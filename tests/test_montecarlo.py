@@ -1,5 +1,6 @@
 """Simulation engine: determinism, noise families, oracles, study runs."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -65,6 +66,24 @@ def test_generation_bit_identical_per_rep():
     c = generate_sequence(cfg, 124)
     assert np.array_equal(a.series, b.series)
     assert not np.array_equal(a.series, c.series)
+
+
+@pytest.mark.parametrize("family, nu", [("gaussian", None), ("student_t", 5.0), ("chi_square", 3.0)])
+def test_substream_is_the_jumped_philox_stream(family, nu):
+    # replication i draws from Philox(key=master_seed).jumped(i), the
+    # stream the reports name "philox-jumped"
+    cfg = _cfg(n=50, tau=20, d=2, family=family, nu=nu, master_seed=2**64 - 59)
+    shape = (cfg.n, cfg.d)
+    for i in (0, 1, 9_999, 10_000, 2**40, 2**64):
+        rng = np.random.Generator(np.random.Philox(key=cfg.master_seed).jumped(i))
+        if family == "gaussian":
+            want = rng.standard_normal(shape)
+        elif family == "student_t":
+            want = rng.standard_t(nu, shape) * np.sqrt((nu - 2.0) / nu)
+        else:
+            want = (rng.chisquare(nu, shape) - nu) / np.sqrt(2.0 * nu)
+        want[cfg.tau :, 0] += cfg.eta
+        assert np.array_equal(generate_sequence(cfg, i).series, want), i
 
 
 def test_gaussian_moments():
@@ -248,6 +267,22 @@ def test_oracle_close_to_exact_distribution_at_eta2():
     emp = oracle_xi_infinity(2.0, default_horizon(2.0), 200_000, seed=91)
     tv = tv_distance(emp, build_pmf(2.0).as_mapping())
     assert tv <= 0.012  # intrinsic formula gap ~0.0033 plus MC noise at 2e5
+
+
+# sha256 of the oracle streams as produced by commit f9be3c9, before both
+# oracles shared one walk generator.  40,000 replications span two full
+# _ORACLE_BATCH batches and a partial one.
+def test_oracle_xi_infinity_stream_golden():
+    emp = oracle_xi_infinity(2.0, default_horizon(2.0), 40_000, seed=91)
+    digest = hashlib.sha256(repr(sorted(emp.items())).encode()).hexdigest()
+    assert digest == "bb0634ebebef20bbde3a74d4bf3c1c172dd4a93f43be0e130242ed8972e3780b"
+
+
+def test_ladder_oracle_stream_golden():
+    res = ladder_oracle(1.0, 20, 40_000, 17)
+    arrays = (res.q_hat, res.q_se, res.q_tilde_hat, res.q_tilde_se)
+    digest = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+    assert digest == "e9ab1058dbcd6e9fd882b0c0215c5ac6e971f04b86bbad3034fb1c37a91912c9"
 
 
 def test_ladder_oracle_matches_recursions():
