@@ -22,14 +22,12 @@ from .errors import (
     ChangePointError,
     ConfigurationError,
     DegenerateDataError,
-    DomainError,
     FactorizationError,
     PrecisionError,
 )
 
 DETECTION_THRESHOLD = 0.05
 
-_USAGE_ERRORS = (ConfigurationError, DomainError)
 _DATA_ERRORS = (DegenerateDataError, FactorizationError)
 
 

@@ -92,6 +92,10 @@ def p_value(W: float) -> float:
 
 
 def _report(kind: str, trace: np.ndarray, lo: int, hi: int, n: int, p: int) -> DetectionReport:
+    exact = np.flatnonzero(np.isposinf(trace))
+    if exact.size:
+        # a segment fit with zero residual scatter: no finite statistic exists
+        raise DegenerateDataError(f"exact fit at split {exact[0] + 1}: the statistic is infinite")
     finite = np.where(np.isfinite(trace), trace, -np.inf)
     if not np.any(finite > -np.inf):
         raise DegenerateDataError("statistic undefined at every admissible split")
@@ -117,7 +121,7 @@ def mean_change_statistic(data: Dataset) -> DetectionReport:
     The trace holds n log(|Sigma_hat_n| / |Sigma_hat_t|) for t in
     [d+1, n-d-1] (nan outside), where Sigma_hat_t pools the scatter
     about the two segment means and Sigma_hat_n is the no-change
-    estimate; only a finite value can be the argmax.
+    estimate.  An exact fit (+inf) is refused as degenerate data.
     """
     series = data.series
     n, d = series.shape

@@ -18,7 +18,9 @@ smallest index, so repeated runs are bit identical.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -29,7 +31,6 @@ from .model import ChangeModel, Dataset, MultivariateOrigin, UnivariateOrigin
 __all__ = [
     "MleResult",
     "ConditionalPmf",
-    "EstimatedParams",
     "IndexInterval",
     "mle_known",
     "mle_profile",
@@ -40,24 +41,11 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class EstimatedParams:
-    """Segment estimates at a split: means plus df-corrected pooled covariance.
-
-    ``sigma`` is a float (univariate standard deviation) or a d x d
-    matrix; the pooled estimator divides the within-segment scatter by
-    n - 2 (one mean per segment).
-    """
-
-    mu1: float | np.ndarray
-    mu2: float | np.ndarray
-    sigma: float | np.ndarray
-
-
-@dataclass(frozen=True)
 class MleResult:
     tau_hat: int
     walk_trace: np.ndarray  # length n-1; profile mode: nan at inadmissible t
-    params_used: ChangeModel | EstimatedParams
+    # known mode: the given model; profile mode: the fitted origin record (pooled_estimates)
+    params_used: ChangeModel | UnivariateOrigin | MultivariateOrigin
     mode: str  # "known" | "profile"
 
 
@@ -185,12 +173,14 @@ def segment_fit(series: np.ndarray, tau_hat: int):
     return mu1, mu2, dev, dev.T @ dev / (n - 2)
 
 
-def pooled_estimates(series: np.ndarray, tau_hat: int) -> EstimatedParams:
-    """Segment means and df-corrected pooled covariance at a given split."""
+def pooled_estimates(series: np.ndarray, tau_hat: int) -> UnivariateOrigin | MultivariateOrigin:
+    """Segment means and df-corrected pooled covariance at a split, as the origin record:
+    a UnivariateOrigin whose sigma is the pooled standard deviation at d = 1, else a
+    MultivariateOrigin whose sigma is the d x d pooled covariance."""
     mu1, mu2, _, pooled = segment_fit(series, tau_hat)
     if series.shape[1] == 1:
-        return EstimatedParams(float(mu1[0]), float(mu2[0]), float(math.sqrt(pooled[0, 0])))
-    return EstimatedParams(mu1, mu2, pooled)
+        return UnivariateOrigin(float(mu1[0]), float(mu2[0]), float(math.sqrt(pooled[0, 0])))
+    return MultivariateOrigin(mu1, mu2, pooled)
 
 
 def mle_profile(data: Dataset) -> MleResult:
@@ -209,19 +199,6 @@ def mle_profile(data: Dataset) -> MleResult:
     )
 
 
-def _origin(params: ChangeModel | EstimatedParams, d: int) -> UnivariateOrigin | MultivariateOrigin:
-    if isinstance(params, ChangeModel):
-        return params.origin
-    # estimated record: plug the segment estimates in as if known
-    if d == 1:
-        return UnivariateOrigin(float(params.mu1), float(params.mu2), float(params.sigma))
-    return MultivariateOrigin(
-        np.asarray(params.mu1, dtype=float),
-        np.asarray(params.mu2, dtype=float),
-        np.asarray(params.sigma, dtype=float),
-    )
-
-
 def cobb_window(walk: np.ndarray, tau_hat: int, delta: int) -> np.ndarray:
     """Normalized likelihoods of the splits tau_hat +- delta.
 
@@ -236,7 +213,7 @@ def cobb_conditional(
     data: Dataset,
     tau_hat: int,
     delta: int,
-    params: ChangeModel | EstimatedParams,
+    params: ChangeModel | UnivariateOrigin | MultivariateOrigin,
 ) -> ConditionalPmf:
     """Conditional split distribution on the window tau_hat +- delta.
 
@@ -251,7 +228,7 @@ def cobb_conditional(
             f"window tau_hat +- delta = [{tau_hat - delta}, {tau_hat + delta}] "
             f"exceeds the admissible splits [1, {n - 1}]"
         )
-    walk = known_walk(data.series, _origin(params, data.d))
+    walk = known_walk(data.series, params.origin if isinstance(params, ChangeModel) else params)
     return ConditionalPmf(delta=delta, probs=cobb_window(walk, tau_hat, delta))
 
 
@@ -300,7 +277,9 @@ def confidence_interval(
         raise DomainError(f"tau_hat must be in [1, n-1], got tau_hat={tau_hat}, n={n}")
     if isinstance(dist, Pmf):
         m = symmetric_interval(dist, level)
-        achieved = dist.prob(0) + 2.0 * sum(dist.prob(k) for k in range(1, m + 1))
+        # plain left-to-right float additions: from Python 3.12 sum() compensates
+        tail = reduce(operator.add, dist.probs_half[1 : m + 1].tolist(), 0.0)
+        achieved = dist.prob(0) + 2.0 * tail
         lo, hi = tau_hat - m, tau_hat + m
         clipped = lo < 1 or hi > n - 1
         lo, hi = max(1, lo), min(n - 1, hi)
@@ -340,17 +319,15 @@ def _calendar(lo: int, hi: int, origin: int | None) -> tuple[int, int] | None:
 
 # --- serialization -------------------------------------------------------
 
-def _params_json(params: ChangeModel | EstimatedParams):
-    def val(x):
-        arr = np.asarray(x, dtype=float)
-        return float(arr) if arr.ndim == 0 else arr.tolist()
-
-    if isinstance(params, ChangeModel):
-        o = params.origin
-        if isinstance(o, UnivariateOrigin):
-            return {"eta": params.eta, "mu1": o.mu1, "mu2": o.mu2, "sigma": o.sigma}
-        return {"eta": params.eta, "mu1": val(o.mu1), "mu2": val(o.mu2), "sigma": val(o.sigma)}
-    return {"mu1": val(params.mu1), "mu2": val(params.mu2), "sigma": val(params.sigma)}
+def _params_json(params: ChangeModel | UnivariateOrigin | MultivariateOrigin) -> dict:
+    # key order eta, mu1, mu2, sigma: the estimate report is written unsorted
+    out = {"eta": params.eta} if isinstance(params, ChangeModel) else {}
+    origin = params.origin if isinstance(params, ChangeModel) else params
+    vector = isinstance(origin, MultivariateOrigin)
+    for key in ("mu1", "mu2", "sigma"):
+        x = getattr(origin, key)
+        out[key] = np.asarray(x, dtype=float).tolist() if vector else x
+    return out
 
 
 def finite_list(a: np.ndarray) -> list:

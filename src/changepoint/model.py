@@ -105,12 +105,6 @@ class ChangeModel:
     eta: float
     origin: UnivariateOrigin | MultivariateOrigin
 
-    @property
-    def dimension(self) -> int:
-        if isinstance(self.origin, UnivariateOrigin):
-            return 1
-        return int(np.asarray(self.origin.mu1).shape[0])
-
 
 def standardized_change_univariate(mu1: float, mu2: float, sigma: float) -> ChangeModel:
     """eta = |mu1 - mu2| / sigma for a scalar mean change."""

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConfigurationError, DegenerateDataError
 from .estimators import cobb_window, default_cobb_delta, known_walk, profile_criterion
 from .exactdist import Pmf
-from .model import ChangeModel, Dataset, MultivariateOrigin, UnivariateOrigin
+from .model import Dataset, MultivariateOrigin, UnivariateOrigin
 from . import errors as _errors
 
 __all__ = [
@@ -136,16 +136,13 @@ def generate_sequence(config: SimConfig, rep_index: int) -> Dataset:
     return Dataset(_draw_series(config, _rep_rng(config.master_seed, rep_index)))
 
 
-def known_change_model(config: SimConfig) -> ChangeModel:
-    """The generating parameters of a cell as a known-parameter model."""
+def _known_origin(config: SimConfig) -> UnivariateOrigin | MultivariateOrigin:
+    """The generating parameters of a cell, for the known-parameter walk."""
     if config.d == 1:
-        return ChangeModel(config.eta, UnivariateOrigin(0.0, config.eta, 1.0))
+        return UnivariateOrigin(0.0, config.eta, 1.0)
     mu2 = np.zeros(config.d)
     mu2[0] = config.eta
-    return ChangeModel(
-        config.eta,
-        MultivariateOrigin(np.zeros(config.d), mu2, np.eye(config.d)),
-    )
+    return MultivariateOrigin(np.zeros(config.d), mu2, np.eye(config.d))
 
 
 def tv_distance(p: Mapping[int, float], q: Mapping[int, float]) -> float:
@@ -183,7 +180,7 @@ def _accumulate_range(config: SimConfig, start: int, stop: int):
     cobb_center = 0.0
     cobb_clamped = 0
     need_known_walk = "known" in config.modes or "cobb" in config.modes
-    origin = known_change_model(config).origin if need_known_walk else None
+    origin = _known_origin(config) if need_known_walk else None
     delta = config.cobb_delta
 
     for i in range(start, stop):

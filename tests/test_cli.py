@@ -160,6 +160,46 @@ def test_data_report_golden_bytes(creek_csv, tmp_path, monkeypatch, command):
     assert _sha256(tmp_path / "report.json") == _REPORT_SHA256[command]
 
 
+def _write_step_csv(path):
+    """50 rows with a time column, a 1.5 sigma mean step after row 22."""
+    rng = np.random.default_rng(41)
+    y = rng.standard_normal(50)
+    y[22:] += 1.5
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("time,y\n")
+        fh.writelines(f"{1960 + i},{v:.12f}\n" for i, v in enumerate(y))
+
+
+# sha256 of univariate reports as produced by commit 418ef07, before the
+# profile fit returned the model's origin records.  The creek Feb column
+# is not significant, so its analyze report stops after detection; the
+# step series is, and its report holds the conditional interval built
+# from the fitted (mu1, mu2, sigma).
+_UNIVARIATE_REPORT_SHA256 = {
+    "estimate_feb": (
+        ["estimate", "--in", "creek.csv", "--columns", "Feb"],
+        "2b5ebab7e0db7b9d50d7224ca7d3f3978de144607b3e63fe8c1f4404a90108d2",
+    ),
+    "analyze_feb": (
+        ["analyze", "--in", "creek.csv", "--columns", "Feb", "--delta", "4"],
+        "ab551882df9863b5fec0c4a609c5ec6685532c126774cd58020a5a924360ff5f",
+    ),
+    "analyze_step": (
+        ["analyze", "--in", "step.csv", "--delta", "4"],
+        "fe0d00a91c740cf76379e4fa1dd8f08e1267be5f10eeee780b3ab0480f334d7d",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNIVARIATE_REPORT_SHA256))
+def test_univariate_report_golden_bytes(creek_csv, tmp_path, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    _write_step_csv(tmp_path / "step.csv")
+    argv, sha = _UNIVARIATE_REPORT_SHA256[case]
+    assert main(argv + ["--out", "report.json"]) == 0
+    assert _sha256(tmp_path / "report.json") == sha
+
+
 def test_simulate_grid_golden_bytes(tmp_path, monkeypatch):
     monkeypatch.setenv("CHANGEPOINT_THREADS", "1")
     conf = tmp_path / "study.conf"
@@ -301,6 +341,17 @@ def test_analyze_exact_fit_exits_3(tmp_path, capsys):
     assert err.startswith("error:")
     assert "Traceback" not in err
     assert main(["estimate", "--in", str(path)]) == 0
+
+
+def test_detect_exact_fit_exits_3(tmp_path, capsys):
+    # the criterion is +inf at split 10; detection must not pass over it
+    path = tmp_path / "step.csv"
+    path.write_text("a\n" + "0\n" * 10 + "1\n" * 10)
+    assert main(["detect", "--in", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "split 10" in captured.err
+    assert "Traceback" not in captured.err
+    assert "tau_hat" not in captured.out
 
 
 def test_analyze_log_transform_flag(tmp_path):

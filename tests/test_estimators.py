@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -24,6 +24,7 @@ from changepoint.model import (
     ChangeModel,
     Dataset,
     MultivariateOrigin,
+    UnivariateOrigin,
     standardized_change_univariate,
 )
 
@@ -126,6 +127,52 @@ def test_profile_location_invariance():
     )
 
 
+def test_profile_params_are_origin_records():
+    rng = np.random.default_rng(4)
+    y = rng.standard_normal((30, 2))
+    y[15:] += 2.0
+    uni = mle_profile(Dataset(y[:, 0])).params_used
+    assert type(uni) is UnivariateOrigin
+    assert all(type(v) is float for v in (uni.mu1, uni.mu2, uni.sigma))
+    multi = mle_profile(Dataset(y)).params_used
+    assert type(multi) is MultivariateOrigin
+    assert multi.mu1.shape == multi.mu2.shape == (2,) and multi.sigma.shape == (2, 2)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(8, 40),
+    d=st.sampled_from([1, 2]),
+    shift=st.floats(0.0, 3.0),
+    scale=st.floats(0.1, 10.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+    b=st.floats(-100.0, 100.0),
+)
+def test_profile_fit_affine_invariance(seed, n, d, shift, scale, sign, b):
+    # y -> a y + b moves the fitted parameters and nothing else
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal((n, d))
+    y[n // 2 :] += shift
+    a = sign * scale
+    fit = mle_profile(Dataset(y))
+    top = np.sort(fit.walk_trace[np.isfinite(fit.walk_trace)])[-2:]
+    assume(top[1] - top[0] > 1e-6 * max(1.0, abs(top[1])))  # rounding cannot flip the argmax
+    assume(2 <= fit.tau_hat <= n - 2)  # room for a Cobb window
+    moved = mle_profile(Dataset(a * y + b))
+    assert moved.tau_hat == fit.tau_hat
+    p, q = fit.params_used, moved.params_used
+    atol = 1e-9 * (abs(a) * np.abs(y).max() + abs(b))
+    np.testing.assert_allclose(q.mu1, a * np.asarray(p.mu1) + b, rtol=1e-9, atol=atol)
+    np.testing.assert_allclose(q.mu2, a * np.asarray(p.mu2) + b, rtol=1e-9, atol=atol)
+    expected = abs(a) * p.sigma if d == 1 else a * a * p.sigma
+    np.testing.assert_allclose(q.sigma, expected, rtol=1e-9, atol=1e-9 * np.abs(expected).max())
+    delta = default_cobb_delta(fit.tau_hat, n)
+    before = cobb_conditional(Dataset(y), fit.tau_hat, delta, p).probs
+    after = cobb_conditional(Dataset(a * y + b), fit.tau_hat, delta, q).probs
+    np.testing.assert_allclose(after, before, rtol=0.0, atol=1e-12)
+
+
 def test_profile_multivariate_clusters_and_trimming():
     rng = np.random.default_rng(21)
     y = rng.standard_normal((24, 3)) * 0.1
@@ -209,6 +256,19 @@ def test_interval_paper_calendar_case():
     assert iv.halfwidth == 4
     assert iv.calendar == (1960, 1968)
     assert not iv.clipped
+
+
+@pytest.mark.parametrize("eta", [0.3554, 1.0, 1.52, 2.831])
+@pytest.mark.parametrize("level", [0.5, 0.9, 0.956, 0.99])
+def test_interval_achieved_is_a_left_to_right_fold(eta, level):
+    # the same bits on every Python: sum() of floats compensates from 3.12
+    pmf = build_pmf(eta)
+    for lvl in (level, pmf.prob(0) * 0.5):  # the second gives m = 0
+        iv = confidence_interval(pmf, lvl, tau_hat=500, n=1000)
+        tail = 0.0
+        for k in range(1, iv.halfwidth + 1):
+            tail += float(pmf.probs_half[k])
+        assert iv.achieved == pmf.prob(0) + 2.0 * tail
 
 
 def test_interval_level_below_atom_is_single_index():
