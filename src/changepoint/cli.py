@@ -275,7 +275,9 @@ def cmd_analyze(args) -> int:
     unconditional = estimators.confidence_interval(
         pmf, args.level, tau_hat, data.n, data.time_origin
     )
-    delta = args.delta if args.delta is not None else estimators.default_cobb_delta(tau_hat, data.n)
+    delta = args.delta
+    if delta is None:
+        delta = int(estimators.default_cobb_delta(tau_hat, data.n))
     conditional_iv = None
     conditional_err = None
     try:

@@ -13,6 +13,11 @@ kernel, ``split_criterion``, evaluates it on an explicit range of
 splits: [1, n-1] at d = 1 and [d+1, n-d-1] otherwise for the profile
 MLE, [d+1, n-d-1] for detection.  Ties are always resolved to the
 smallest index, so repeated runs are bit identical.
+
+The walk and criterion kernels (``loglik_ratio_terms``, ``known_walk``,
+``split_scatters``, ``split_criterion``, ``profile_criterion``) and
+``cobb_window`` also take a stack of series, shape (..., n, d): each
+series in the stack gets exactly the bits a call on it alone would.
 """
 
 from __future__ import annotations
@@ -67,27 +72,27 @@ def loglik_ratio_terms(
 ) -> np.ndarray:
     """Per-observation terms a(y) = log f1(y) - log f2(y) under known params."""
     if isinstance(origin, UnivariateOrigin):
-        if series.shape[1] != 1:
-            raise DomainError(f"univariate parameters given for {series.shape[1]}-column data")
-        y = series[:, 0]
+        if series.shape[-1] != 1:
+            raise DomainError(f"univariate parameters given for {series.shape[-1]}-column data")
+        y = series[..., 0]
         s2 = origin.sigma * origin.sigma
         return ((y - origin.mu2) ** 2 - (y - origin.mu1) ** 2) / (2.0 * s2)
     assert isinstance(origin, MultivariateOrigin)
     d = origin.mu1.shape[0]
-    if series.shape[1] != d:
-        raise DomainError(f"{d}-variate parameters given for {series.shape[1]}-column data")
+    if series.shape[-1] != d:
+        raise DomainError(f"{d}-variate parameters given for {series.shape[-1]}-column data")
     try:
         L = np.linalg.cholesky(origin.sigma)
     except np.linalg.LinAlgError as exc:
         raise DegenerateDataError(f"covariance parameter not positive definite: {exc}") from exc
-    z1 = np.linalg.solve(L, (series - origin.mu1).T)
-    z2 = np.linalg.solve(L, (series - origin.mu2).T)
-    return 0.5 * (np.sum(z2 * z2, axis=0) - np.sum(z1 * z1, axis=0))
+    z1 = np.linalg.solve(L, np.swapaxes(series - origin.mu1, -1, -2))
+    z2 = np.linalg.solve(L, np.swapaxes(series - origin.mu2, -1, -2))
+    return 0.5 * (np.sum(z2 * z2, axis=-2) - np.sum(z1 * z1, axis=-2))
 
 
 def known_walk(series: np.ndarray, origin: UnivariateOrigin | MultivariateOrigin) -> np.ndarray:
     """Cumulative log-likelihood-ratio walk over splits t = 1..n-1."""
-    return np.cumsum(loglik_ratio_terms(series, origin))[:-1]
+    return np.cumsum(loglik_ratio_terms(series, origin), axis=-1)[..., :-1]
 
 
 def mle_known(data: Dataset, model: ChangeModel) -> MleResult:
@@ -106,45 +111,46 @@ def split_scatters(series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Data are centered first, so the prefix-sum evaluation stays well
     conditioned at arbitrary location offsets.
     """
-    n, d = series.shape
-    series = series - series.sum(axis=0) / n
+    n, d = series.shape[-2:]
+    series = series - series.sum(axis=-2, keepdims=True) / n
     t = np.arange(1, n, dtype=float)[:, None, None]
-    c1 = series.cumsum(axis=0)  # (n, d)
-    c2 = (series[:, :, None] * series[:, None, :]).cumsum(axis=0)  # (n, d, d)
-    tot1, tot2 = c1[-1], c2[-1]
-    left1, left2 = c1[:-1], c2[:-1]
-    right1 = tot1 - left1
-    left = left2 - left1[:, :, None] * left1[:, None, :] / t
-    right = (tot2 - left2) - right1[:, :, None] * right1[:, None, :] / (n - t)
-    scatter_n = tot2 - tot1[:, None] * tot1 / n
+    c1 = series.cumsum(axis=-2)  # (..., n, d)
+    c2 = (series[..., :, None] * series[..., None, :]).cumsum(axis=-3)  # (..., n, d, d)
+    tot1, tot2 = c1[..., -1, :], c2[..., -1, :, :]
+    left1, left2 = c1[..., :-1, :], c2[..., :-1, :, :]
+    right1 = tot1[..., None, :] - left1
+    left = left2 - left1[..., :, None] * left1[..., None, :] / t
+    right = (tot2[..., None, :, :] - left2) - right1[..., :, None] * right1[..., None, :] / (n - t)
+    scatter_n = tot2 - tot1[..., :, None] * tot1[..., None, :] / n
     return left + right, scatter_n
 
 
 def split_criterion(scatter_t: np.ndarray, scatter_n: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Trace n log(|Sigma_hat_n| / |Sigma_hat_t|) over t = 1..n-1 from ``split_scatters``.
 
-    Splits outside [lo, hi] or with a segment estimate that is not
-    positive definite are nan; at d = 1 an exact fit scores +inf.
-    Raises if Sigma_hat_n is singular or [lo, hi] is empty.
+    Splits outside [lo, hi] are nan.  An exact fit, a segment scatter
+    that is singular, scores +inf: at d = 1 a zero scatter (rounding
+    below 0 gives nan), at d > 1 a determinant of sign <= 0, since
+    rounding leaves a singular scatter's sign at 0 or -1.  Raises if
+    Sigma_hat_n is singular or [lo, hi] is empty.
     """
-    n = scatter_t.shape[0] + 1
-    d = scatter_n.shape[0]
+    n = scatter_t.shape[-3] + 1
+    d = scatter_n.shape[-1]
     with np.errstate(divide="ignore", invalid="ignore"):
         if d == 1:
-            logdet_n = np.log(scatter_n[0, 0] / n)
-            # log(0) = -inf scores an exact fit +inf; rounding below 0 gives nan
-            logdet_t = np.log(scatter_t[lo - 1 : hi, 0, 0] / n)
+            logdet_n = np.log(scatter_n[..., 0, 0] / n)
+            logdet_t = np.log(scatter_t[..., lo - 1 : hi, 0, 0] / n)
         else:
             sign_n, logdet_n = np.linalg.slogdet(scatter_n / n)
-            logdet_n = logdet_n if sign_n > 0 else np.nan
-            sign_t, logdet_t = np.linalg.slogdet(scatter_t[lo - 1 : hi] / n)
-            logdet_t = np.where(sign_t > 0, logdet_t, np.nan)
-    if not np.isfinite(logdet_n):
+            logdet_n = np.where(sign_n > 0, logdet_n, np.nan)
+            sign_t, logdet_t = np.linalg.slogdet(scatter_t[..., lo - 1 : hi, :, :] / n)
+            logdet_t = np.where(sign_t > 0, logdet_t, -np.inf)
+    if not np.all(np.isfinite(logdet_n)):
         raise DegenerateDataError("no-change covariance estimate is singular")
     if lo > hi:
         raise DegenerateDataError(f"no admissible split for n={n}, d={d}")
-    trace = np.full(n - 1, np.nan)
-    trace[lo - 1 : hi] = n * (logdet_n - logdet_t)
+    trace = np.full(scatter_t.shape[:-2], np.nan)
+    trace[..., lo - 1 : hi] = n * (np.expand_dims(logdet_n, -1) - logdet_t)
     return trace
 
 
@@ -152,13 +158,13 @@ def profile_criterion(series: np.ndarray) -> np.ndarray:
     """Profile trace n log(|Sigma_hat_n| / |Sigma_hat_t|) over t = 1..n-1.
 
     Admissible splits are [1, n-1] at d = 1 and [d+1, n-d-1] otherwise
-    (nan outside).  Raises if the no-change covariance estimate is
-    singular or no split scores.
+    (nan outside).  Raises if, for any series in the stack, the
+    no-change covariance estimate is singular or no split scores.
     """
-    n, d = series.shape
+    n, d = series.shape[-2:]
     lo, hi = (1, n - 1) if d == 1 else (d + 1, n - d - 1)
     trace = split_criterion(*split_scatters(series), lo, hi)
-    if not np.any(np.isfinite(trace) | np.isposinf(trace)):
+    if not np.all(np.any(np.isfinite(trace) | np.isposinf(trace), axis=-1)):
         raise DegenerateDataError("segment covariance estimate degenerate at every split")
     return trace
 
@@ -199,14 +205,16 @@ def mle_profile(data: Dataset) -> MleResult:
     )
 
 
-def cobb_window(walk: np.ndarray, tau_hat: int, delta: int) -> np.ndarray:
+def cobb_window(walk: np.ndarray, tau_hat: int | np.ndarray, delta: int) -> np.ndarray:
     """Normalized likelihoods of the splits tau_hat +- delta.
 
+    ``walk`` may be a stack (..., n-1) with one ``tau_hat`` per walk.
     The walk spans hundreds of log units, so it is shifted by the window maximum first.
     """
-    window = walk[tau_hat - delta - 1 : tau_hat + delta]
-    w = np.exp(window - window.max())
-    return w / w.sum()
+    splits = np.expand_dims(tau_hat, -1) + np.arange(-delta - 1, delta)
+    window = np.take_along_axis(walk, splits, axis=-1)
+    w = np.exp(window - window.max(axis=-1, keepdims=True))
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def cobb_conditional(
@@ -232,9 +240,12 @@ def cobb_conditional(
     return ConditionalPmf(delta=delta, probs=cobb_window(walk, tau_hat, delta))
 
 
-def default_cobb_delta(tau_hat: int, n: int, cap: int = 15) -> int:
-    """Widest window around tau_hat that stays inside the sample, capped."""
-    return max(1, min(tau_hat - 1, n - 1 - tau_hat, cap))
+def default_cobb_delta(tau_hat: int | np.ndarray, n: int, cap: int = 15) -> np.integer | np.ndarray:
+    """Widest window around tau_hat that stays inside the sample, capped, and at least 1.
+
+    Elementwise over an array of estimates; a numpy integer for one estimate.
+    """
+    return np.clip(np.minimum(tau_hat - 1, n - 1 - tau_hat), 1, cap)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,22 @@ processes.  Replications are tallied in fixed chunks of 10,000 whose
 sums are added in chunk order, so reports are bit-identical for every
 worker count.
 
+Within a chunk, replications are evaluated in blocks.  One Philox
+generator per chunk is re-seeked to each replication's counter block
+(its state reset, the buffer empty, exactly as a fresh
+``Philox(key, counter)`` starts), and the replication's draws fill its
+row of a (B, n, d) buffer in replication order.  The stream is the
+per-replication one, so the data are unchanged.  Each block then makes
+one ``known_walk`` and one ``profile_criterion`` call, whose stacked
+kernels give every row the bits a call on it alone would, and tallies
+by row-wise argmax.  Integer tallies are exact; the fractional Cobb
+masses are added in replication order, so every report byte is what
+one-replication-at-a-time evaluation gives.  B keeps the profile
+kernel's (B, n, d, d) prefix sums at about 2**14 float64 elements: in
+one 20 s simulate_study benchmark run on 2 vCPU, a budget of 2**20
+gave about 14% more replications per second but nearly doubled the
+peak resident memory (195 MB against 105 MB).
+
 The environment variable CHANGEPOINT_THREADS bounds process-level
 parallelism of :func:`run_study` (unset or 0 means all available cores,
 1 forces serial execution).
@@ -51,6 +67,8 @@ _SEED_SCHEME = "philox-jumped"
 _ORACLE_BATCH = 1 << 14  # fixed: changing it would change the oracle streams
 # Fixed: the chunk bounds set the order of the floating-point partial sums.
 _CHUNK_REPS = 10_000
+# float64 elements per block of replications; the block size sets no result bit
+_BLOCK_ELEMENTS = 2**14
 
 
 @dataclass(frozen=True)
@@ -107,21 +125,39 @@ class SimConfig:
             raise ConfigurationError(f"cobb_delta must be >= 1, got {self.cobb_delta}")
 
 
-def _rep_rng(master_seed: int, rep_index: int) -> np.random.Generator:
-    # counter block [0, 0, rep_index, 0], where jumped(rep_index) lands
-    return np.random.Generator(np.random.Philox(key=master_seed, counter=rep_index << 128))
+class _Substreams:
+    """One Philox generator that seeks to any replication's substream."""
+
+    def __init__(self, master_seed: int):
+        self._bitgen = np.random.Philox(key=master_seed)
+        self._state = self._bitgen.state  # fresh: counter 0, buffer empty
+        self._counter = self._state["state"]["counter"]
+        self.rng = np.random.Generator(self._bitgen)
+
+    def seek(self, rep_index: int) -> np.random.Generator:
+        # counter block [0, 0, rep_index, 0], where jumped(rep_index) lands
+        self._counter[3], self._counter[2] = divmod(rep_index, 2**64)
+        self._bitgen.state = self._state
+        return self.rng
 
 
-def _draw_series(config: SimConfig, rng: np.random.Generator) -> np.ndarray:
-    shape = (config.n, config.d)
-    if config.family == "gaussian":
-        noise = rng.standard_normal(shape)
-    elif config.family == "student_t":
-        noise = rng.standard_t(config.nu, shape) * np.sqrt((config.nu - 2.0) / config.nu)
-    else:  # chi_square, standardized to mean 0 variance 1
-        noise = (rng.chisquare(config.nu, shape) - config.nu) / np.sqrt(2.0 * config.nu)
-    noise[config.tau :, 0] += config.eta
-    return noise
+def _draw_block(config: SimConfig, streams: _Substreams, start: int, out: np.ndarray) -> None:
+    """Fill out[j], shape (n, d), with replication start + j's series."""
+    shape = out.shape[1:]
+    for j, row in enumerate(out):
+        rng = streams.seek(start + j)
+        if config.family == "gaussian":
+            rng.standard_normal(out=row)
+        elif config.family == "student_t":
+            row[...] = rng.standard_t(config.nu, shape)
+        else:
+            row[...] = rng.chisquare(config.nu, shape)
+    if config.family == "student_t":
+        out *= np.sqrt((config.nu - 2.0) / config.nu)
+    elif config.family == "chi_square":  # standardized to mean 0 variance 1
+        out -= config.nu
+        out /= np.sqrt(2.0 * config.nu)
+    out[:, config.tau :, 0] += config.eta
 
 
 def generate_sequence(config: SimConfig, rep_index: int) -> Dataset:
@@ -133,7 +169,9 @@ def generate_sequence(config: SimConfig, rep_index: int) -> Dataset:
     """
     if rep_index < 0:
         raise ConfigurationError(f"rep_index must be >= 0, got {rep_index}")
-    return Dataset(_draw_series(config, _rep_rng(config.master_seed, rep_index)))
+    series = np.empty((1, config.n, config.d))
+    _draw_block(config, _Substreams(config.master_seed), rep_index, series)
+    return Dataset(series[0])
 
 
 def _known_origin(config: SimConfig) -> UnivariateOrigin | MultivariateOrigin:
@@ -147,8 +185,9 @@ def _known_origin(config: SimConfig) -> UnivariateOrigin | MultivariateOrigin:
 
 def tv_distance(p: Mapping[int, float], q: Mapping[int, float]) -> float:
     """Half the L1 distance between two integer-supported distributions."""
-    keys = set(p) | set(q)
-    return 0.5 * float(sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys))
+    terms = (abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in set(p) | set(q))
+    # plain left-to-right float additions: from Python 3.12 sum() compensates
+    return 0.5 * float(reduce(operator.add, terms, 0.0))
 
 
 @dataclass(frozen=True)
@@ -171,38 +210,72 @@ class SimulationReport:
     cobb_clamped: int = 0
 
 
+def _profile_argmax(series: np.ndarray) -> tuple[np.ndarray, int]:
+    """Row-wise profile argmax over a block, and how many rows failed."""
+    try:
+        return np.nanargmax(profile_criterion(series), axis=-1), 0
+    except _errors.ChangePointError:
+        pass
+    # rare: some row is degenerate, so find which, one row at a time
+    best = []
+    for row in series:
+        try:
+            best.append(int(np.nanargmax(profile_criterion(row))))
+        except _errors.ChangePointError:
+            pass
+    return np.array(best, dtype=np.intp), len(series) - len(best)
+
+
+def _tally_cobb(config: SimConfig, walk: np.ndarray, tau_hat: np.ndarray, counts: np.ndarray):
+    """Add each row's clamped Cobb window to ``counts``, rows in order.
+
+    Returns each row's mass at its estimate and how many windows were clamped.
+    """
+    want = config.cobb_delta
+    if want is None:
+        want = default_cobb_delta(tau_hat, config.n)
+    delta = np.minimum(want, np.minimum(tau_hat - 1, config.n - 1 - tau_hat))
+    masses = np.zeros((len(delta), 2 * int(delta.max()) + 1))
+    for dd in np.unique(delta).tolist():  # one batched call per window width
+        rows = np.flatnonzero(delta == dd)
+        masses[rows, : 2 * dd + 1] = cobb_window(walk[rows], tau_hat[rows], dd)
+    # np.add.at adds in row-major order, so each count sums in replication
+    # order; the zero padding beyond a window adds 0.0, which changes no bit
+    splits = np.minimum((tau_hat - delta - 1)[:, None] + np.arange(masses.shape[1]), config.n - 2)
+    np.add.at(counts, splits, masses)
+    return masses[np.arange(len(delta)), delta], int(np.count_nonzero(delta < want))
+
+
 def _accumulate_range(config: SimConfig, start: int, stop: int):
-    """Partial sums over replications [start, stop)."""
-    n, tau = config.n, config.tau
+    """Partial sums over replications [start, stop), evaluated in blocks."""
+    n, d, modes = config.n, config.d, config.modes
     width = n - 1  # offset index = tau_hat - 1
-    counts = {m: np.zeros(width) for m in config.modes}
-    failures = dict.fromkeys(config.modes, 0)
+    counts = {m: np.zeros(width) for m in modes}
+    failures = dict.fromkeys(modes, 0)
     cobb_center = 0.0
     cobb_clamped = 0
-    need_known_walk = "known" in config.modes or "cobb" in config.modes
+    need_known_walk = "known" in modes or "cobb" in modes
     origin = _known_origin(config) if need_known_walk else None
-    delta = config.cobb_delta
+    streams = _Substreams(config.master_seed)
+    block = max(1, _BLOCK_ELEMENTS // (n * d * d))
+    buf = np.empty((min(block, stop - start), n, d))
 
-    for i in range(start, stop):
-        series = _draw_series(config, _rep_rng(config.master_seed, i))
-        walk = known_walk(series, origin) if need_known_walk else None
-        if "known" in config.modes:
-            counts["known"][int(np.argmax(walk))] += 1.0
-        if "profile" in config.modes:
-            try:
-                trace = profile_criterion(series)
-                counts["profile"][int(np.nanargmax(trace))] += 1.0
-            except _errors.ChangePointError:
-                failures["profile"] += 1
-        if "cobb" in config.modes:
-            tau_hat = int(np.argmax(walk)) + 1
-            d_r = delta if delta is not None else default_cobb_delta(tau_hat, n)
-            d_eff = min(d_r, tau_hat - 1, n - 1 - tau_hat)
-            if d_eff < d_r:
-                cobb_clamped += 1
-            w = cobb_window(walk, tau_hat, d_eff)
-            counts["cobb"][tau_hat - d_eff - 1 : tau_hat + d_eff] += w
-            cobb_center += float(w[d_eff])
+    for lo in range(start, stop, block):
+        series = buf[: min(block, stop - lo)]
+        _draw_block(config, streams, lo, series)
+        if need_known_walk:
+            walk = known_walk(series, origin)
+            best = np.argmax(walk, axis=-1)
+        if "known" in modes:
+            counts["known"] += np.bincount(best, minlength=width)
+        if "profile" in modes:
+            best_profile, nfail = _profile_argmax(series)
+            counts["profile"] += np.bincount(best_profile, minlength=width)
+            failures["profile"] += nfail
+        if "cobb" in modes:
+            centers, clamped = _tally_cobb(config, walk, best + 1, counts["cobb"])
+            cobb_center = reduce(operator.add, centers.tolist(), cobb_center)
+            cobb_clamped += clamped
     return counts, failures, cobb_center, cobb_clamped
 
 

@@ -354,6 +354,25 @@ def test_detect_exact_fit_exits_3(tmp_path, capsys):
     assert "tau_hat" not in captured.out
 
 
+def test_exact_fit_at_d2_is_refused_by_detect_and_found_by_estimate(tmp_path, capsys):
+    # the second column is the first plus a step of 3 after row 15, so the
+    # pooled scatter is singular at split 15 (slogdet sign -1 by rounding)
+    t = np.random.default_rng(1).standard_normal(30)
+    path = tmp_path / "exact.csv"
+    rows = (f"{x!r},{x + 3.0 * (i >= 15)!r}\n" for i, x in enumerate(t.tolist()))
+    path.write_text("a,b\n" + "".join(rows))
+    assert main(["detect", "--in", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "split 15" in captured.err
+    assert "Traceback" not in captured.err
+    assert main(["analyze", "--in", str(path)]) == 3
+    capsys.readouterr()
+    out = tmp_path / "fit.json"
+    assert main(["estimate", "--in", str(path), "--out", str(out)]) == 0
+    assert "tau_hat = 15" in capsys.readouterr().out
+    assert json.loads(out.read_text())["tau_hat"] == 15
+
+
 def test_analyze_log_transform_flag(tmp_path):
     rng = np.random.default_rng(77)
     y = np.exp(rng.standard_normal(60) * 0.5)

@@ -12,12 +12,15 @@ from changepoint.errors import DegenerateDataError, DomainError
 from changepoint.estimators import (
     ConditionalPmf,
     cobb_conditional,
+    cobb_window,
     confidence_interval,
     default_cobb_delta,
     finite_list,
+    known_walk,
     mle_known,
     mle_profile,
     mle_result_to_json,
+    profile_criterion,
 )
 from changepoint.exactdist import build_pmf
 from changepoint.model import (
@@ -193,6 +196,37 @@ def test_profile_exact_two_level_data_prefers_exact_fit():
     fit = mle_profile(Dataset(y))
     assert fit.tau_hat == 6
     assert np.isposinf(fit.walk_trace[5])
+
+
+def test_profile_exact_fit_at_d2_scores_inf():
+    # an exact linear relation within both segments: the pooled scatter at
+    # split 15 is singular, and rounding leaves its slogdet sign at -1
+    t = np.random.default_rng(1).standard_normal(30)
+    y = np.column_stack([t, t + 3.0 * (np.arange(30) >= 15)])
+    fit = mle_profile(Dataset(y))
+    assert fit.tau_hat == 15
+    assert np.isposinf(fit.walk_trace[14])
+    assert np.isfinite(fit.walk_trace[[13, 15]]).all()
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_stacked_kernels_give_each_series_its_own_bits(d):
+    rng = np.random.default_rng(8)
+    stack = rng.standard_normal((5, 2, 30, d))
+    stack[..., 12:, 0] += 1.0
+    if d == 1:
+        origin = UnivariateOrigin(0.0, 1.0, 1.0)
+    else:
+        origin = MultivariateOrigin(np.zeros(d), np.eye(d)[0], np.eye(d) + 0.3)
+    walks = known_walk(stack, origin)
+    traces = profile_criterion(stack)
+    tau_hat = np.argmax(walks, axis=-1) + 1
+    windows = cobb_window(walks, tau_hat, 3)
+    for idx in np.ndindex(stack.shape[:2]):
+        walk = known_walk(stack[idx], origin)
+        assert walks[idx].tobytes() == walk.tobytes()
+        assert traces[idx].tobytes() == profile_criterion(stack[idx]).tobytes()
+        assert windows[idx].tobytes() == cobb_window(walk, int(tau_hat[idx]), 3).tobytes()
 
 
 # --- conditional law --------------------------------------------------------

@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
 import changepoint.montecarlo as mc
-from changepoint.errors import ConfigurationError, DegenerateDataError
+from changepoint.errors import ChangePointError, ConfigurationError, DegenerateDataError
+from changepoint.estimators import cobb_window, default_cobb_delta, known_walk, profile_criterion
 from changepoint.exactdist import build_ladder_tables, build_pmf
 from changepoint.montecarlo import (
     SimConfig,
@@ -134,6 +136,19 @@ def test_tv_distance_basics():
     assert tv_distance(p, {0: 1.0}) == 0.5
 
 
+def test_tv_distance_is_a_plain_left_fold():
+    # ten terms of 1e-16 after a 1.0 vanish one by one in plain float
+    # additions; a compensated sum (Python >= 3.12 sum()) would keep them
+    p = {0: 1.0}
+    q = {k: 1e-16 for k in range(1, 11)}
+    terms = [abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in set(p) | set(q)]
+    fold = 0.0
+    for x in terms:
+        fold += x
+    assert fold != math.fsum(terms)
+    assert tv_distance(p, q) == 0.5 * fold
+
+
 # --- study runs ----------------------------------------------------------------
 
 def test_single_replication_degenerate_tv(monkeypatch):
@@ -193,6 +208,75 @@ def test_study_failure_budget(monkeypatch):
     monkeypatch.setattr(mc, "profile_criterion", always_fails)
     with pytest.raises(DegenerateDataError, match="> 0.1%"):
         run_study(_cfg(modes=("profile",), replications=50), build_pmf(1.5))
+
+
+def _reference_range(config, start, stop):
+    """_accumulate_range's partial sums, one replication at a time."""
+    n = config.n
+    counts = {m: np.zeros(n - 1) for m in config.modes}
+    failures = dict.fromkeys(config.modes, 0)
+    center, clamped = 0.0, 0
+    for i in range(start, stop):
+        series = generate_sequence(config, i).series
+        walk = known_walk(series, mc._known_origin(config))
+        tau_hat = int(np.argmax(walk)) + 1
+        if "known" in config.modes:
+            counts["known"][tau_hat - 1] += 1.0
+        if "profile" in config.modes:
+            try:
+                counts["profile"][int(np.nanargmax(profile_criterion(series)))] += 1.0
+            except ChangePointError:
+                failures["profile"] += 1
+        if "cobb" in config.modes:
+            want = config.cobb_delta or int(default_cobb_delta(tau_hat, n))
+            delta = min(want, tau_hat - 1, n - 1 - tau_hat)
+            clamped += delta < want
+            w = cobb_window(walk, tau_hat, delta)
+            counts["cobb"][tau_hat - delta - 1 : tau_hat + delta] += w
+            center += float(w[delta])
+    return counts, failures, center, clamped
+
+
+@pytest.mark.parametrize("cobb_delta", [None, 4])
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("family, nu", [("gaussian", None), ("student_t", 5.0), ("chi_square", 3.0)])
+def test_block_engine_matches_per_replication_reference(monkeypatch, family, nu, d, cobb_delta):
+    # n = 16 puts many estimates near the edges, so windows clamp; the
+    # range straddles the 10,000 chunk edge, and the 7-replication block
+    # budget puts block edges inside it
+    cfg = _cfg(n=16, tau=7, eta=0.8, d=d, family=family, nu=nu,
+               modes=("known", "profile", "cobb"), cobb_delta=cobb_delta)
+    want = _reference_range(cfg, 9_990, 10_050)
+    for budget in (mc._BLOCK_ELEMENTS, 7 * cfg.n * d * d):
+        monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", budget)
+        counts, failures, center, clamped = mc._accumulate_range(cfg, 9_990, 10_050)
+        assert {m: c.tobytes() for m, c in counts.items()} == {
+            m: c.tobytes() for m, c in want[0].items()
+        }
+        assert (failures, center, clamped) == want[1:]
+    assert want[3] > 0
+
+
+def test_one_failing_replication_in_a_block_is_one_failure(monkeypatch):
+    monkeypatch.setenv("CHANGEPOINT_THREADS", "1")
+    cfg = _cfg(modes=("profile",), replications=1000)
+    pmf = build_pmf(cfg.eta)
+    clean = run_study(cfg, pmf)
+    bad = generate_sequence(cfg, 37).series
+    real = mc.profile_criterion
+
+    def fails_on_rep_37(series):
+        if np.any(np.all(series == bad, axis=(-2, -1))):
+            raise DegenerateDataError("forced failure")
+        return real(series)
+
+    monkeypatch.setattr(mc, "profile_criterion", fails_on_rep_37)
+    rep = run_study(cfg, pmf)  # one failure in 1000 is within the 0.1% budget
+    assert rep.failures == {"profile": 1}
+    lost = int(np.nanargmax(real(bad))) + 1 - cfg.tau
+    want = dict(clean.empirical["profile"])
+    want[lost] -= 1.0
+    assert rep.empirical["profile"] == {k: v for k, v in want.items() if v}
 
 
 def test_report_csv_format(tmp_path, monkeypatch):
