@@ -217,7 +217,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_ci(args) -> int:
-    pmf = exactdist.build_pmf(args.eta, tol=args.tol)
+    pmf = exactdist.build_pmf(args.eta, tol=args.tol, level=args.level)
     interval = estimators.confidence_interval(pmf, args.level, args.tau, args.n, args.origin)
     _print_interval("interval", interval)
     _write_json(args.out, dataclasses.asdict(interval))

@@ -30,6 +30,13 @@ eta = 2.5).  The excess satisfies the exact identity
 which the test suite pins.  Interval and variance queries use the raw
 (unnormalized) masses; the Monte Carlo oracle in ``montecarlo``
 quantifies the gap to the true law.
+
+Since q_m needs only q_<m, an interval at level L needs the recursion only
+out to the halfwidth m that reaches L: ``build_pmf(eta, level=L)`` runs it
+in growing blocks and stops there, returning the first m + 1 masses of
+the full build bit for bit, with ``tail_mass_bound`` the certified bound
+g0 r^(m+1) / (1 - r) on everything past m.  Both paths share one
+implementation of the recursion (``_ladder_recursion``).
 """
 
 from __future__ import annotations
@@ -114,22 +121,33 @@ def build_ladder_tables(eta: float, kmax: int, tol: float = 1e-12) -> LadderTabl
         raise PrecisionError(f"kmax {kmax} exceeds the cap {_KMAX_CAP}")
 
     b, bt = _b_series(eta, kmax)
-    # b[m:0:-1] == rb[kmax-m:kmax]: the same values in the same order, but
-    # contiguous, so np.dot hands them to BLAS without a per-call copy.
-    rb = b[::-1].copy()
-    rbt = bt[::-1].copy()
-    q = np.empty(kmax + 1)
-    qt = np.empty(kmax + 1)
-    q[0] = qt[0] = 1.0
-    for m in range(1, kmax + 1):
-        q[m] = np.dot(rb[kmax - m : kmax], q[:m]) / m
-        qt[m] = np.dot(rbt[kmax - m : kmax], qt[:m]) / m
-
+    rb, rbt, q, qt = _ladder_arrays(b, bt)
+    _ladder_recursion(rb, rbt, q, qt, 1, kmax + 1)
     no_ladder, trunc = _no_ladder_mass(eta, tol)
     return LadderTables(
         eta=eta, kmax=kmax, tol=tol, b=b, b_tilde=bt,
         q=q, q_tilde=qt, no_ladder=no_ladder, truncation_error=trunc,
     )
+
+
+def _ladder_arrays(b: np.ndarray, bt: np.ndarray):
+    """Reversed b / b~ and q / q~ buffers (index 0 set to 1) for the recursion."""
+    # b[m:0:-1] == rb[N-m:N]: the same values in the same order, but
+    # contiguous, so np.dot hands them to BLAS without a per-call copy.
+    rb = b[::-1].copy()
+    rbt = bt[::-1].copy()
+    q = np.empty(b.shape[0])
+    qt = np.empty(b.shape[0])
+    q[0] = qt[0] = 1.0
+    return rb, rbt, q, qt
+
+
+def _ladder_recursion(rb, rbt, q, qt, lo: int, hi: int) -> None:
+    """Fill q[m] and q~[m] for m in [lo, hi) from the entries below m."""
+    N = rb.shape[0] - 1
+    for m in range(lo, hi):
+        q[m] = np.dot(rb[N - m : N], q[:m]) / m
+        qt[m] = np.dot(rbt[N - m : N], qt[:m]) / m
 
 
 def _b_series(eta: float, kmax: int) -> tuple[np.ndarray, np.ndarray]:
@@ -146,16 +164,36 @@ def _b_series(eta: float, kmax: int) -> tuple[np.ndarray, np.ndarray]:
     return b, bt
 
 
-def _no_ladder_mass(eta: float, tol: float) -> tuple[float, float]:
+def _no_ladder_tail(r: float, J: int) -> float:
     # sum_{j>J} (1/j) sf(eta sqrt(j)/2) <= (1/(2(J+1))) r^(J+1) / (1-r), r = exp(-eta^2/8)
+    return (0.5 / (J + 1)) * r ** (J + 1) / (1.0 - r)
+
+
+def _no_ladder_cutoff(r: float, tol: float) -> int:
+    """First J >= 1 with ``_no_ladder_tail(r, J) < tol``.
+
+    The tail bound falls as J grows, so double past the cut-off, then
+    bisect with tail(lo) >= tol > tail(hi): O(log J) evaluations of the
+    same expression a linear scan would test.
+    """
+    lo, hi = 0, 1
+    while _no_ladder_tail(r, hi) >= tol:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _no_ladder_tail(r, mid) >= tol:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _no_ladder_mass(eta: float, tol: float) -> tuple[float, float]:
     r = np.exp(-eta * eta / 8.0)
-    J = 1
-    while (0.5 / (J + 1)) * r ** (J + 1) / (1.0 - r) >= tol:
-        J += 1
+    J = _no_ladder_cutoff(r, tol)
     j = np.arange(1, J + 1, dtype=float)
     series = float(np.sum(std_normal_survival(eta * np.sqrt(j) / 2.0) / j))
-    bound = float((0.5 / (J + 1)) * r ** (J + 1) / (1.0 - r))
-    return float(np.exp(-series)), bound
+    return float(np.exp(-series)), float(_no_ladder_tail(r, J))
 
 
 @dataclass(frozen=True)
@@ -189,33 +227,90 @@ class Pmf:
         return out
 
 
-def build_pmf(eta: float, tol: float = 1e-10) -> Pmf:
+def build_pmf(eta: float, tol: float = 1e-10, level: float | None = None) -> Pmf:
     """Point masses of the limiting centered estimator.
 
     The support halfwidth K is the first index past which the certified
     series tail, via q_k <= exp(-eta^2 k / 8) / 2, is below ``tol``; the
     accumulated mass is then >= 1 - tol.  ``tail_mass_bound`` records
-    that certified bound on the discarded terms.
+    that certified bound on the discarded terms, g0 r^(K+1) / (1-r) with
+    g0 = 1 - ||G+|| and r = exp(-eta^2 / 8).
+
+    With a ``level`` in (0, 1), the ladder recursion runs only until the
+    masses reach it: the support is cut at the smallest halfwidth m with
+    P(|xi| <= m) >= level, folded as ``symmetric_interval`` folds it, and
+    ``tail_mass_bound`` is the same certified bound taken at K = m.  The
+    kept masses are bit-identical to the full build's, so every interval
+    query at that level gives the same answer, at the cost of the
+    O(m^2) prefix instead of the O(K^2) support.  A K beyond the tables'
+    cap is then no refusal: the cap bounds m instead, and a level still
+    unreached at the cap is refused with the same message.  A level
+    unreached within K gives the full build, trim and bound included.
     """
     _check_eta_tol(eta, tol)
+    if level is not None and not (0.0 < level < 1.0):
+        raise DomainError(f"level must be in (0, 1), got {level!r}")
     r = np.exp(-eta * eta / 8.0)
     # The discarded terms sum to at most g0 r^(kmax+1) / (1-r); this kmax
     # makes r^kmax <= tol (1-r) / 2, so that bound is below g0 r tol / 2 < tol.
     with np.errstate(divide="ignore", over="ignore"):  # tiny tol underflows to inf
         size = 8.0 / (eta * eta) * np.log(2.0 / (tol * (1.0 - r)))
-    if not np.isfinite(size) or size > _KMAX_CAP:
-        raise PrecisionError(f"support for eta={eta} at tol={tol} exceeds the {_KMAX_CAP} cap")
+    too_long = f"support for eta={eta} at tol={tol} exceeds the {_KMAX_CAP} cap"
+    if not np.isfinite(size) or (size > _KMAX_CAP and level is None):
+        raise PrecisionError(too_long)
     kmax = max(8, int(np.ceil(size)))
-    tables = build_ladder_tables(eta, kmax, tol=min(tol, 1e-12))
-    g0 = tables.no_ladder
-    g = 1.0 - g0
-    half = np.empty(kmax + 1)
-    half[0] = g0 * g0
-    half[1:] = g0 * (tables.q[1:] - g * tables.q_tilde[1:])
+    if level is None:
+        tables = build_ladder_tables(eta, kmax, tol=min(tol, 1e-12))
+        g0 = tables.no_ladder
+        half = np.empty(kmax + 1)
+        half[0] = g0 * g0
+        half[1:] = g0 * (tables.q[1:] - (1.0 - g0) * tables.q_tilde[1:])
+    else:
+        g0, half, m = _level_prefix(eta, min(kmax, _KMAX_CAP), min(tol, 1e-12), level)
+        if m is not None:
+            return _cut_pmf(eta, tol, r, g0, half, m)
+        if kmax > _KMAX_CAP:
+            raise PrecisionError(too_long)
     K = kmax
     # trim trailing entries that no longer contribute at the requested tol
     while K > 1 and half[K] <= 0.0:
         K -= 1
+    return _cut_pmf(eta, tol, r, g0, half, K)
+
+
+# First block of the level-sized recursion; later blocks grow by 1/8.
+_FIRST_BLOCK = 64
+
+
+def _level_prefix(eta: float, N: int, tol: float, level: float):
+    """Masses over [0, N] from the ladder recursion, run in growing blocks
+    until ``half[0] + 2 half[1] + ... + 2 half[m]`` reaches ``level``.
+
+    Returns (g0, half, m); half is filled up to m, or to N with m None
+    when the level is not reached.
+    """
+    g0, _ = _no_ladder_mass(eta, tol)
+    g = 1.0 - g0
+    rb, rbt, q, qt = _ladder_arrays(*_b_series(eta, N))
+    half = np.empty(N + 1)
+    half[0] = g0 * g0
+    acc = float(half[0])
+    if acc >= level:
+        return g0, half, 0
+    lo = 1
+    while lo <= N:
+        hi = min(N + 1, lo + max(_FIRST_BLOCK, lo // 8))
+        _ladder_recursion(rb, rbt, q, qt, lo, hi)
+        half[lo:hi] = g0 * (q[lo:hi] - g * qt[lo:hi])
+        for m in range(lo, hi):
+            acc += 2.0 * float(half[m])
+            if acc >= level:
+                return g0, half, m
+        lo = hi
+    return g0, half, None
+
+
+def _cut_pmf(eta: float, tol: float, r: float, g0: float, half: np.ndarray, K: int) -> Pmf:
     half = half[: K + 1].copy()
     half.setflags(write=False)
     return Pmf(

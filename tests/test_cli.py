@@ -137,6 +137,52 @@ def test_ci_json_golden_bytes(tmp_path):
     assert _sha256(out) == _CI_SHA256
 
 
+# sha256 of ci interval JSON as produced by commit c1d3c95, before ci
+# sized the offset law to the level: the prefix recursion must keep them.
+_CI_LEVEL_SHA256 = {
+    ("0.1122", "0.8", "2500", "6000", None):
+        "b545c0957d1d0ba2b55018cb998d97dee6d4a4476b9cdeba2dd9edf741bf112e",
+    ("0.1122", "0.9", "2500", "6000", None):
+        "ca1e33a2bcbdd7ac4dc17ebccca2badaab7bcb4576c44333f90dc28dbf6b0103",
+    ("0.1122", "0.95", "2500", "6000", None):
+        "73bdfca0041d2ea4eb3ca2d573ffd857db3a78902c39b96cd77bc0af8535cd47",
+    ("0.1122", "0.99", "2500", "6000", None):
+        "6ed1030ff5445e19207895da9428476d65d6d7b8624257b6e8a8ad0af6d91ad4",
+    # clipped at the lower end
+    ("0.3", "0.95", "3", "20000", None):
+        "9ea2b4cf099b5d8a79cc4db1cff8d3e435e98db3f1aa51666092683d64cb8251",
+    ("0.1413", "0.99", "5000", "90000", "1901"):
+        "76d5209527448f244a7772a6991a65ffa9e1e4d7e184798e45754adad41f3de2",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CI_LEVEL_SHA256, key=str))
+def test_ci_level_json_golden_bytes(tmp_path, case):
+    eta, level, tau, n, origin = case
+    out = tmp_path / "ci.json"
+    argv = ["ci", "--eta", eta, "--level", level, "--tau", tau, "--n", n, "--out", str(out)]
+    if origin is not None:
+        argv += ["--origin", origin]
+    assert main(argv) == 0
+    assert _sha256(out) == _CI_LEVEL_SHA256[case]
+
+
+def test_ci_small_eta_sizes_the_recursion_to_the_level(tmp_path, capsys):
+    # eta = 0.05 passes the guard; its full support K exceeds the tables'
+    # cap, so dist refuses it, while ci needs only the 0.99 halfwidth
+    rc = main(["dist", "--eta", "0.05", "--out", str(tmp_path / "p.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: support for eta=0.05 at tol=1e-10 exceeds the 100000 cap\n"
+    )
+    out = tmp_path / "ci.json"
+    argv = ["ci", "--eta", "0.05", "--level", "0.99", "--tau", "20000", "--n", "40000"]
+    assert main(argv + ["--out", str(out)]) == 0
+    obj = json.loads(out.read_text())
+    assert obj["halfwidth"] == 6884
+    assert (obj["lo"], obj["hi"]) == (20000 - 6884, 20000 + 6884)
+
+
 # sha256 of the data reports as produced by commit c9d6f84, before the
 # reports became plain records dumped once by the CLI; serialization work
 # must keep them byte for byte.  (The same BLAS caveat applies.)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import changepoint.exactdist as exactdist
 from changepoint.errors import (
@@ -27,6 +29,7 @@ from changepoint.exactdist import (
     variance_for,
     write_pmf_csv,
 )
+from changepoint.estimators import confidence_interval
 from changepoint.numerics import std_normal_survival
 
 ETAS = [0.5, 1.0, 1.5, 2.0, 2.5]
@@ -229,6 +232,156 @@ def test_recursion_matches_strided_reference_bit_exact(eta):
         qt[m] = np.dot(bt[m:0:-1], qt[:m]) / m
     assert np.array_equal(t.q, q)
     assert np.array_equal(t.q_tilde, qt)
+
+
+# --- no-ladder cut-off ----------------------------------------------------
+
+def _linear_cutoff(eta, tol):
+    # the reference: scan J upward until the tail bound drops below tol
+    r = np.exp(-eta * eta / 8.0)
+    J = 1
+    while (0.5 / (J + 1)) * r ** (J + 1) / (1.0 - r) >= tol:
+        J += 1
+    return J, float((0.5 / (J + 1)) * r ** (J + 1) / (1.0 - r))
+
+
+_CUTOFF_ETAS = [float(x) for x in np.geomspace(0.05, 40.0, 23)] + [0.1122, 0.1413, 1.0]
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-12, 1e-40])
+@pytest.mark.parametrize("eta", _CUTOFF_ETAS)
+def test_no_ladder_cutoff_matches_linear_scan(eta, tol):
+    J, bound = _linear_cutoff(eta, tol)
+    assert exactdist._no_ladder_cutoff(np.exp(-eta * eta / 8.0), tol) == J
+    j = np.arange(1, J + 1, dtype=float)
+    series = float(np.sum(std_normal_survival(eta * np.sqrt(j) / 2.0) / j))
+    assert exactdist._no_ladder_mass(eta, tol) == (float(np.exp(-series)), bound)
+
+
+@pytest.mark.parametrize("eta", [1.0, 2.0, 5.0, 40.0])
+def test_no_ladder_cutoff_at_tiny_tol(eta):
+    assert exactdist._no_ladder_cutoff(np.exp(-eta * eta / 8.0), 1e-300) == (
+        _linear_cutoff(eta, 1e-300)[0]
+    )
+
+
+# --- level-sized prefix ---------------------------------------------------
+
+@pytest.mark.parametrize("eta", [0.05, 0.1122, 1.0, 3.7])
+def test_b_series_prefix_bit_exact(eta):
+    a = 5000
+    long_b, long_bt = exactdist._b_series(eta, a)
+    for n in (1, 2, 7, 64, 1230, a - 1):
+        b, bt = exactdist._b_series(eta, n)
+        assert long_b[: n + 1].tobytes() == b.tobytes()
+        assert long_bt[: n + 1].tobytes() == bt.tobytes()
+
+
+def _check_prefix(eta, level, full=None):
+    full = build_pmf(eta) if full is None else full
+    pre = build_pmf(eta, level=level)
+    m = pre.support_halfwidth
+    assert m == symmetric_interval(full, level)
+    assert pre.probs_half.tobytes() == full.probs_half[: m + 1].tobytes()
+    r = np.exp(-eta * eta / 8.0)
+    assert pre.tail_mass_bound == float(pre.no_ladder * r ** (m + 1) / (1.0 - r))
+    assert (pre.eta, pre.no_ladder, pre.tol) == (full.eta, full.no_ladder, full.tol)
+    return pre, full
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    eta=st.floats(0.1, 4.0),
+    level=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    n=st.integers(2, 100_000),
+    where=st.floats(0.0, 1.0),
+)
+@example(eta=0.1122, level=0.99, n=6000, where=0.4)
+@example(eta=4.0, level=1e-300, n=2, where=0.0)
+def test_level_prefix_is_a_bit_exact_prefix(eta, level, n, where):
+    pre, full = _check_prefix(eta, level)
+    tau = 1 + int(where * (n - 2))
+    assert confidence_interval(pre, level, tau, n, 1900) == confidence_interval(
+        full, level, tau, n, 1900
+    )
+
+
+@pytest.mark.parametrize("eta", [0.3, 1.0, 2.831])
+def test_level_prefix_stops_where_the_fold_first_reaches_the_level(eta):
+    # a level equal to the left-to-right partial sum at j is first reached
+    # at j: a fold in another order, or a cut one index off, misses it
+    full = build_pmf(eta)
+    acc = float(full.probs_half[0])
+    for j in range(0, min(full.support_halfwidth, 150)):
+        if j:
+            acc += 2.0 * float(full.probs_half[j])
+        if acc >= 1.0:
+            break
+        pre, _ = _check_prefix(eta, acc, full)
+        assert pre.support_halfwidth == j
+
+
+@pytest.mark.parametrize("eta", [0.1122, 1.0, 4.0])
+def test_level_reached_at_the_atom(eta):
+    full = build_pmf(eta)
+    for level in (full.prob(0), full.prob(0) * 0.5):
+        pre, _ = _check_prefix(eta, level, full)
+        assert pre.support_halfwidth == 0
+        iv = confidence_interval(pre, level, 50, 100)
+        assert iv == confidence_interval(full, level, 50, 100)
+        assert iv.halfwidth == 0
+
+
+def test_unreachable_level_gives_the_full_build_and_its_error(monkeypatch):
+    # halving the no-ladder mass leaves a total below 0.99
+    no_ladder = exactdist._no_ladder_mass
+    monkeypatch.setattr(
+        exactdist, "_no_ladder_mass", lambda eta, tol: (0.5 * no_ladder(eta, tol)[0], 0.0)
+    )
+    full = build_pmf(1.0)
+    pre = build_pmf(1.0, level=0.99)
+    assert pre.support_halfwidth == full.support_halfwidth
+    assert pre.probs_half.tobytes() == full.probs_half.tobytes()
+    assert pre.tail_mass_bound == full.tail_mass_bound
+    errors = []
+    for pmf in (full, pre):
+        with pytest.raises(UnreachableLevelError) as exc:
+            confidence_interval(pmf, 0.99, 50, 100)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
+
+
+def test_level_prefix_is_bounded_by_the_cap(monkeypatch):
+    # K = 19176 at eta = 0.1122: with the cap at 1300 the full build is
+    # refused, the 0.99 prefix (m = 1230) fits, the 0.999 one (1469) does not
+    eta = 0.1122
+    full = build_pmf(eta)
+    assert symmetric_interval(full, 0.999) == 1469
+    monkeypatch.setattr(exactdist, "_KMAX_CAP", 1300)
+    pre, _ = _check_prefix(eta, 0.99, full)
+    assert pre.support_halfwidth == 1230
+    message = "support for eta=0.1122 at tol=1e-10 exceeds the 1300 cap"
+    for kwargs in ({}, {"level": 0.999}):
+        with pytest.raises(PrecisionError) as exc:
+            build_pmf(eta, **kwargs)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.2, float("nan")])
+def test_level_outside_the_unit_interval_is_refused(level):
+    with pytest.raises(DomainError) as exc:
+        build_pmf(1.0, level=level)
+    assert str(exc.value) == f"level must be in (0, 1), got {level!r}"
+
+
+def test_level_prefix_builds_no_ladder_tables(monkeypatch):
+    expected = build_pmf(0.7, level=0.95)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the level path must not build full ladder tables")
+
+    monkeypatch.setattr(exactdist, "build_ladder_tables", refuse)
+    assert build_pmf(0.7, level=0.95).probs_half.tobytes() == expected.probs_half.tobytes()
 
 
 # --- tv bound -------------------------------------------------------------
