@@ -81,18 +81,12 @@ def loglik_ratio_terms(
     d = origin.mu1.shape[0]
     if series.shape[-1] != d:
         raise DomainError(f"{d}-variate parameters given for {series.shape[-1]}-column data")
-    x1 = np.swapaxes(series - origin.mu1, -1, -2)
-    x2 = np.swapaxes(series - origin.mu2, -1, -2)
-    if np.array_equal(origin.sigma, np.eye(d)):
-        # solving against L = I returns its input; the copies take the
-        # solve's C order, so that the sums below add in the same order
-        z1, z2 = np.ascontiguousarray(x1), np.ascontiguousarray(x2)
-    else:
-        try:
-            L = np.linalg.cholesky(origin.sigma)
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateDataError(f"covariance parameter not positive definite: {exc}") from exc
-        z1, z2 = np.linalg.solve(L, x1), np.linalg.solve(L, x2)
+    try:
+        L = np.linalg.cholesky(origin.sigma)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateDataError(f"covariance parameter not positive definite: {exc}") from exc
+    z1 = np.linalg.solve(L, np.swapaxes(series - origin.mu1, -1, -2))
+    z2 = np.linalg.solve(L, np.swapaxes(series - origin.mu2, -1, -2))
     return 0.5 * (np.sum(z2 * z2, axis=-2) - np.sum(z1 * z1, axis=-2))
 
 

@@ -35,8 +35,11 @@ Since q_m needs only q_<m, an interval at level L needs the recursion only
 out to the halfwidth m that reaches L: ``build_pmf(eta, level=L)`` runs it
 in growing blocks and stops there, returning the first m + 1 masses of
 the full build bit for bit, with ``tail_mass_bound`` the certified bound
-g0 r^(m+1) / (1 - r) on everything past m.  Both paths share one
-implementation of the recursion (``_ladder_recursion``).
+g0 r^(m+1) / (1 - r) on everything past m.  The full law and the prefix
+come from one masses builder (``_ladder_masses``) over the one
+implementation of the recursion (``_ladder_recursion``, which
+``build_ladder_tables`` also runs), and the prefix stops by the same
+fold (``_fold_to_level``) that ``symmetric_interval`` uses.
 """
 
 from __future__ import annotations
@@ -259,18 +262,11 @@ def build_pmf(eta: float, tol: float = 1e-10, level: float | None = None) -> Pmf
     if not np.isfinite(size) or (size > _KMAX_CAP and level is None):
         raise PrecisionError(too_long)
     kmax = max(8, int(np.ceil(size)))
-    if level is None:
-        tables = build_ladder_tables(eta, kmax, tol=min(tol, 1e-12))
-        g0 = tables.no_ladder
-        half = np.empty(kmax + 1)
-        half[0] = g0 * g0
-        half[1:] = g0 * (tables.q[1:] - (1.0 - g0) * tables.q_tilde[1:])
-    else:
-        g0, half, m = _level_prefix(eta, min(kmax, _KMAX_CAP), min(tol, 1e-12), level)
-        if m is not None:
-            return _cut_pmf(eta, tol, r, g0, half, m)
-        if kmax > _KMAX_CAP:
-            raise PrecisionError(too_long)
+    g0, half, m = _ladder_masses(eta, min(kmax, _KMAX_CAP), min(tol, 1e-12), level)
+    if m is not None:
+        return _cut_pmf(eta, tol, r, g0, half, m)
+    if kmax > _KMAX_CAP:
+        raise PrecisionError(too_long)
     K = kmax
     # trim trailing entries that no longer contribute at the requested tol
     while K > 1 and half[K] <= 0.0:
@@ -282,12 +278,13 @@ def build_pmf(eta: float, tol: float = 1e-10, level: float | None = None) -> Pmf
 _FIRST_BLOCK = 64
 
 
-def _level_prefix(eta: float, N: int, tol: float, level: float):
-    """Masses over [0, N] from the ladder recursion, run in growing blocks
-    until ``half[0] + 2 half[1] + ... + 2 half[m]`` reaches ``level``.
+def _ladder_masses(eta: float, N: int, tol: float, level: float | None):
+    """Masses over [0, N] from the ladder recursion.
 
-    Returns (g0, half, m); half is filled up to m, or to N with m None
-    when the level is not reached.
+    Without a level the recursion runs over [1, N] at once.  With one it
+    runs in growing blocks until ``half[0] + 2 half[1] + ... + 2 half[m]``
+    reaches ``level``.  Returns (g0, half, m); half is filled up to m, or
+    to N with m None when no level is given or it is not reached.
     """
     g0, _ = _no_ladder_mass(eta, tol)
     g = 1.0 - g0
@@ -295,19 +292,32 @@ def _level_prefix(eta: float, N: int, tol: float, level: float):
     half = np.empty(N + 1)
     half[0] = g0 * g0
     acc = float(half[0])
-    if acc >= level:
+    if level is not None and acc >= level:
         return g0, half, 0
     lo = 1
     while lo <= N:
-        hi = min(N + 1, lo + max(_FIRST_BLOCK, lo // 8))
+        hi = N + 1 if level is None else min(N + 1, lo + max(_FIRST_BLOCK, lo // 8))
         _ladder_recursion(rb, rbt, q, qt, lo, hi)
         half[lo:hi] = g0 * (q[lo:hi] - g * qt[lo:hi])
-        for m in range(lo, hi):
-            acc += 2.0 * float(half[m])
-            if acc >= level:
+        if level is not None:
+            acc, m = _fold_to_level(half, acc, lo, hi, level)
+            if m is not None:
                 return g0, half, m
         lo = hi
     return g0, half, None
+
+
+def _fold_to_level(half: np.ndarray, acc: float, lo: int, hi: int, level: float):
+    """Resume ``acc = half[0] + 2 half[1] + ...`` over m in [lo, hi), lo >= 1.
+
+    Returns (acc, m) at the first m where acc reaches ``level``, else
+    (acc, None) with acc summed through hi - 1.
+    """
+    for m in range(lo, hi):
+        acc += 2.0 * float(half[m])
+        if acc >= level:
+            return acc, m
+    return acc, None
 
 
 def _cut_pmf(eta: float, tol: float, r: float, g0: float, half: np.ndarray, K: int) -> Pmf:
@@ -348,10 +358,9 @@ def symmetric_interval(pmf: Pmf, level: float) -> int:
     acc = float(pmf.probs_half[0])
     if acc >= level:
         return 0
-    for m in range(1, pmf.support_halfwidth + 1):
-        acc += 2.0 * float(pmf.probs_half[m])
-        if acc >= level:
-            return m
+    acc, m = _fold_to_level(pmf.probs_half, acc, 1, pmf.support_halfwidth + 1, level)
+    if m is not None:
+        return m
     raise UnreachableLevelError(
         f"level {level} unreachable: accumulated {acc:.12f} with tail bound "
         f"{pmf.tail_mass_bound:.3e}"

@@ -17,7 +17,6 @@ from changepoint.estimators import (
     default_cobb_delta,
     finite_list,
     known_walk,
-    loglik_ratio_terms,
     mle_known,
     mle_profile,
     mle_result_to_json,
@@ -228,21 +227,6 @@ def test_stacked_kernels_give_each_series_its_own_bits(d):
         assert walks[idx].tobytes() == walk.tobytes()
         assert traces[idx].tobytes() == profile_criterion(stack[idx]).tobytes()
         assert windows[idx].tobytes() == cobb_window(walk, int(tau_hat[idx]), 3).tobytes()
-
-
-@pytest.mark.parametrize("shape", [(40, 3), (6, 100, 3), (2, 3, 25, 2), (4, 50, 5)])
-def test_identity_sigma_terms_equal_the_solve_path_bit_for_bit(shape):
-    # every simulated d > 1 cell has Sigma = I; its terms skip the solves
-    rng = np.random.default_rng(11)
-    d = shape[-1]
-    series = 3.0 * rng.standard_normal(shape)
-    mu1, mu2 = rng.standard_normal(d), rng.standard_normal(d)
-    L = np.linalg.cholesky(np.eye(d))
-    z1 = np.linalg.solve(L, np.swapaxes(series - mu1, -1, -2))
-    z2 = np.linalg.solve(L, np.swapaxes(series - mu2, -1, -2))
-    reference = 0.5 * (np.sum(z2 * z2, axis=-2) - np.sum(z1 * z1, axis=-2))
-    origin = MultivariateOrigin(mu1, mu2, np.eye(d))
-    assert loglik_ratio_terms(series, origin).tobytes() == reference.tobytes()
 
 
 # --- conditional law --------------------------------------------------------

@@ -374,14 +374,29 @@ def test_level_outside_the_unit_interval_is_refused(level):
     assert str(exc.value) == f"level must be in (0, 1), got {level!r}"
 
 
-def test_level_prefix_builds_no_ladder_tables(monkeypatch):
-    expected = build_pmf(0.7, level=0.95)
+@pytest.mark.parametrize("level", [None, 0.95])
+def test_build_pmf_builds_no_ladder_tables(monkeypatch, level):
+    expected = build_pmf(0.7, level=level)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the level path must not build full ladder tables")
+        raise AssertionError("build_pmf must not build ladder tables")
 
     monkeypatch.setattr(exactdist, "build_ladder_tables", refuse)
-    assert build_pmf(0.7, level=0.95).probs_half.tobytes() == expected.probs_half.tobytes()
+    assert build_pmf(0.7, level=level).probs_half.tobytes() == expected.probs_half.tobytes()
+
+
+@pytest.mark.parametrize("eta", [0.1122, 0.7, 2.831])
+def test_full_masses_equal_the_ladder_tables_formula_bit_exact(eta):
+    pmf = build_pmf(eta)
+    r = np.exp(-eta * eta / 8.0)
+    kmax = max(8, int(np.ceil(8.0 / (eta * eta) * np.log(2.0 / (1e-10 * (1.0 - r))))))
+    t = build_ladder_tables(eta, kmax, tol=1e-12)
+    g0 = t.no_ladder
+    half = np.empty(kmax + 1)
+    half[0] = g0 * g0
+    half[1:] = g0 * (t.q[1:] - (1.0 - g0) * t.q_tilde[1:])
+    assert pmf.no_ladder == g0
+    assert pmf.probs_half.tobytes() == half[: pmf.support_halfwidth + 1].tobytes()
 
 
 # --- tv bound -------------------------------------------------------------
