@@ -26,7 +26,6 @@ from .exactdist import (
     cdf,
     symmetric_interval,
     tv_bound,
-    variance_closed_form,
 )
 from .model import (
     ChangeModel,
@@ -80,7 +79,6 @@ __all__ = [
     "cdf",
     "symmetric_interval",
     "tv_bound",
-    "variance_closed_form",
     "ChangeModel",
     "Dataset",
     "log_transform",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 
@@ -121,7 +122,7 @@ def _load(args) -> model.Dataset:
         data = data.select(cols)
     if args.log_transform:
         data = model.log_transform(data)
-    if getattr(args, "origin", None) is not None:
+    if args.origin is not None:
         data = model.Dataset(data.series, data.labels, args.origin)
     return data
 
@@ -325,7 +326,7 @@ def cmd_analyze(args) -> int:
 
 def _parse_config_file(path: str) -> dict[str, list[str]]:
     out: dict[str, list[str]] = {}
-    with open(path, encoding="utf-8") as fh:
+    with model.open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -343,49 +344,49 @@ def _parse_config_file(path: str) -> dict[str, list[str]]:
     return out
 
 
-_GRID_KEYS = ("n", "tau", "eta")
-_SCALAR_KEYS = ("d", "family", "nu", "reps", "modes", "delta")
+# Simulate config keys: the SimConfig field, the parser of one value, and the
+# values kept ("grid" keeps all, and the cells span them; "all" keeps all;
+# "first" the first).  A flag overrides the key of its name.  An omitted key
+# takes SimConfig's default; one whose field has no default is required.
+_CONFIG_KEYS = {
+    "n": ("n", int, "grid"),
+    "tau": ("tau", int, "grid"),
+    "eta": ("eta", float, "grid"),
+    "modes": ("modes", str.lower, "all"),
+    "family": ("family", str.lower, "first"),
+    "nu": ("nu", float, "first"),
+    "d": ("d", int, "first"),
+    "delta": ("cobb_delta", int, "first"),
+    "reps": ("replications", int, "first"),
+}
+_REQUIRED = [
+    f.name for f in dataclasses.fields(montecarlo.SimConfig) if f.default is dataclasses.MISSING
+]
 
 
 def _config_cells(raw: dict[str, list[str]], seed: int, args):
-    # command-line values override their config-file counterparts
-    for key in ("reps", "n", "tau", "eta", "family", "nu", "delta"):
-        val = getattr(args, key, None)
-        if val is not None:
-            raw[key] = [str(val)]
-    unknown = set(raw) - set(_GRID_KEYS) - set(_SCALAR_KEYS)
+    for key in _CONFIG_KEYS:
+        if getattr(args, key, None) is not None:
+            raw[key] = [str(getattr(args, key))]
+    unknown = set(raw) - set(_CONFIG_KEYS)
     if unknown:
         raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-    for key in ("n", "tau", "eta"):
-        if key not in raw:
-            raise ConfigurationError(f"missing {key!r} (config key or flag)")
-    if "reps" not in raw:
-        raise ConfigurationError("missing 'reps' (config key or --reps)")
-
-    def values(key, kind):
-        try:
-            return [kind(v) for v in raw[key]]
-        except ValueError as exc:
-            raise ConfigurationError(f"config key {key!r}: {exc}") from None
-
-    modes = tuple(m.lower() for m in raw.get("modes", ["known"]))
-    family = raw.get("family", ["gaussian"])[0].lower()
-    nu = values("nu", float)[0] if "nu" in raw else None
-    d = values("d", int)[0] if "d" in raw else 1
-    delta = values("delta", int)[0] if "delta" in raw else None
-    reps = values("reps", int)[0]
-
-    cells = []
-    for n in values("n", int):
-        for tau in values("tau", int):
-            for eta in values("eta", float):
-                cells.append(
-                    montecarlo.SimConfig(
-                        n=n, tau=tau, eta=eta, replications=reps, master_seed=seed,
-                        d=d, family=family, nu=nu, modes=modes, cobb_delta=delta,
-                    )
-                )
-    return cells
+    for key, (field, _, _) in _CONFIG_KEYS.items():
+        if field in _REQUIRED and key not in raw:
+            flag = "--reps" if key == "reps" else "flag"
+            raise ConfigurationError(f"missing {key!r} (config key or {flag})")
+    fields, grid = {"master_seed": seed}, {}
+    # the grid keys are parsed last; either group in table order
+    grid_last = sorted(_CONFIG_KEYS.items(), key=lambda item: item[1][2] == "grid")
+    for key, (field, parse, kind) in grid_last:
+        if key in raw:
+            try:
+                vals = [parse(v) for v in raw[key]]
+            except ValueError as exc:
+                raise ConfigurationError(f"config key {key!r}: {exc}") from None
+            (grid if kind == "grid" else fields)[field] = vals[0] if kind == "first" else vals
+    cells = itertools.product(*grid.values())
+    return [montecarlo.SimConfig(**fields, **dict(zip(grid, cell))) for cell in cells]
 
 
 def cmd_simulate(args) -> int:

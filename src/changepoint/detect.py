@@ -100,17 +100,10 @@ def _report(kind: str, trace: np.ndarray, lo: int, hi: int, n: int, p: int) -> D
     if not np.any(finite > -np.inf):
         raise DegenerateDataError("statistic undefined at every admissible split")
     tau_hat = int(np.argmax(finite)) + 1
-    U = float(finite[tau_hat - 1])
-    if U < 0:
-        U = max(U, 0.0)  # tiny negative from rounding at the argmax
-    if n >= _MIN_N_FOR_W:
-        W = darling_erdos_transform(U, n, p)
-        pv = p_value(W)
-    else:
-        W = None
-        pv = None
+    U = max(float(finite[tau_hat - 1]), 0.0)  # clamp a tiny negative from rounding
+    W = darling_erdos_transform(U, n, p) if n >= _MIN_N_FOR_W else None
     return DetectionReport(
-        statistic_kind=kind, U=U, W=W, p_value=pv, p=p,
+        statistic_kind=kind, U=U, W=W, p_value=None if W is None else p_value(W), p=p,
         tau_hat=tau_hat, trace=trace, admissible=(lo, hi),
     )
 

@@ -23,15 +23,14 @@ series in the stack gets exactly the bits a call on it alone would.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from .errors import DegenerateDataError, DomainError, UnreachableLevelError
 from .exactdist import Pmf, symmetric_interval
 from .model import ChangeModel, Dataset, MultivariateOrigin, UnivariateOrigin
+from .numerics import left_sum
 
 __all__ = [
     "MleResult",
@@ -192,9 +191,6 @@ def pooled_estimates(series: np.ndarray, tau_hat: int) -> UnivariateOrigin | Mul
 def mle_profile(data: Dataset) -> MleResult:
     """Unknown-parameter MLE via the profile determinant-ratio criterion."""
     series = data.series
-    n, d = series.shape
-    if n < 4:
-        raise DomainError(f"need n >= 4 for profile estimation, got {n}")
     trace = profile_criterion(series)
     tau_hat = int(np.nanargmax(trace)) + 1
     return MleResult(
@@ -288,8 +284,7 @@ def confidence_interval(
         raise DomainError(f"tau_hat must be in [1, n-1], got tau_hat={tau_hat}, n={n}")
     if isinstance(dist, Pmf):
         m = symmetric_interval(dist, level)
-        # plain left-to-right float additions: from Python 3.12 sum() compensates
-        tail = reduce(operator.add, dist.probs_half[1 : m + 1].tolist(), 0.0)
+        tail = left_sum(dist.probs_half[1 : m + 1].tolist())
         achieved = dist.prob(0) + 2.0 * tail
         lo, hi = tau_hat - m, tau_hat + m
         clipped = lo < 1 or hi > n - 1

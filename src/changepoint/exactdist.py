@@ -58,7 +58,6 @@ __all__ = [
     "build_pmf",
     "cdf",
     "symmetric_interval",
-    "variance_closed_form",
     "variance_for",
     "suggested_kmax",
     "tv_bound",
@@ -155,16 +154,10 @@ def _ladder_recursion(rb, rbt, q, qt, lo: int, hi: int) -> None:
 
 def _b_series(eta: float, kmax: int) -> tuple[np.ndarray, np.ndarray]:
     """b and b~ over indices 0..kmax (index 0 unused, set to nan); b~ via log b~."""
-    n = np.arange(0, kmax + 1, dtype=float)
-    b = np.empty(kmax + 1)
-    b[0] = np.nan
-    b[1:] = std_normal_survival(eta * np.sqrt(n[1:]) / 2.0)
-    lbt = np.empty(kmax + 1)
-    lbt[0] = np.nan
-    lbt[1:] = log_b_tilde(np.arange(1, kmax + 1), eta)
-    bt = np.exp(lbt)
-    bt[0] = np.nan
-    return b, bt
+    n = np.arange(1, kmax + 1)
+    b = std_normal_survival(eta * np.sqrt(n) / 2.0)
+    bt = np.exp(log_b_tilde(n, eta))
+    return np.concatenate(([np.nan], b)), np.concatenate(([np.nan], bt))
 
 
 def _no_ladder_tail(r: float, J: int) -> float:
@@ -224,10 +217,8 @@ class Pmf:
         return float(self.probs_half[0] + 2.0 * self.probs_half[1:].sum())
 
     def as_mapping(self) -> dict[int, float]:
-        out: dict[int, float] = {}
-        for k in range(-self.support_halfwidth, self.support_halfwidth + 1):
-            out[k] = float(self.probs_half[abs(k)])
-        return out
+        K = self.support_halfwidth
+        return {k: float(self.probs_half[abs(k)]) for k in range(-K, K + 1)}
 
 
 def build_pmf(eta: float, tol: float = 1e-10, level: float | None = None) -> Pmf:
@@ -367,44 +358,6 @@ def symmetric_interval(pmf: Pmf, level: float) -> int:
     )
 
 
-def variance_closed_form(tables: LadderTables) -> float:
-    """Variance of the limiting offset from the generating-function series.
-
-    Uses B(1) = sum b_n / n, B'(1) = sum b_n, B''(1) = sum n b_n and the
-    tilde analogues:
-
-        Var = 2 {B'' + B'^2} - 2 exp(-B + B~) (1 - exp(-B)) {B~'' + B~'^2}
-
-    which equals the second moment of the mass series in ``build_pmf``
-    exactly (same approximation, same total).  Requires ``kmax`` large
-    enough that the n b_n tail bound is below the tables' tol.
-    """
-    return _variance_sums(tables.eta, tables.kmax, tables.tol, tables.b, tables.b_tilde)
-
-
-def _variance_sums(eta: float, kmax: int, tol: float, b: np.ndarray, bt: np.ndarray) -> float:
-    # b, bt: the b / b~ series over indices 0..kmax, index 0 unused
-    r = np.exp(-eta * eta / 8.0)
-    # sum_{n>N} n b_n <= (1/2) r^(N+1) ((N+1)(1-r) + r) / (1-r)^2
-    tail = 0.5 * r ** (kmax + 1) * ((kmax + 1) * (1.0 - r) + r) / (1.0 - r) ** 2
-    if tail >= tol:
-        raise PrecisionError(
-            f"kmax={kmax} leaves an n*b_n tail bound {tail:.3e} >= tol {tol:.3e}; "
-            "rebuild the tables with a larger kmax"
-        )
-    n = np.arange(1, kmax + 1, dtype=float)
-    b = b[1:]
-    bt = bt[1:]
-    B = float(np.sum(b / n))
-    Bp = float(np.sum(b))
-    Bpp = float(np.sum(n * b))
-    Bt = float(np.sum(bt / n))
-    Btp = float(np.sum(bt))
-    Btpp = float(np.sum(n * bt))
-    var = 2.0 * (Bpp + Bp * Bp) - 2.0 * np.exp(-B + Bt) * (1.0 - np.exp(-B)) * (Btpp + Btp * Btp)
-    return float(var)
-
-
 def suggested_kmax(eta: float, tol: float = 1e-12) -> int:
     """Series length at which the n b_n tail is certifiably < tol.
 
@@ -422,16 +375,32 @@ def suggested_kmax(eta: float, tol: float = 1e-12) -> int:
 
 
 def variance_for(eta: float, tol: float = 1e-12) -> float:
-    """Closed-form variance from the b / b~ series sized by ``suggested_kmax``.
+    """Variance of the limiting offset from the generating-function series.
 
-    O(K): only sums of b_n and b~_n enter, so no ladder tables (and no
-    q / q~ recursion) are built.  Equal, bit for bit, to
-    ``variance_closed_form`` on tables of that length.
+    Uses B(1) = sum b_n / n, B'(1) = sum b_n, B''(1) = sum n b_n and the
+    tilde analogues:
+
+        Var = 2 {B'' + B'^2} - 2 exp(-B + B~) (1 - exp(-B)) {B~'' + B~'^2}
+
+    which equals the second moment of the masses of ``build_pmf`` exactly
+    (same approximation, same total).  The series run to
+    ``suggested_kmax``, where the n b_n tail is certifiably below ``tol``.
+    O(K): only sums of b_n and b~_n enter, so no q / q~ recursion runs.
     """
     _check_eta_tol(eta, tol)
     kmax = suggested_kmax(eta, tol)
     b, bt = _b_series(eta, kmax)
-    return _variance_sums(eta, kmax, tol, b, bt)
+    n = np.arange(1, kmax + 1, dtype=float)
+    b = b[1:]
+    bt = bt[1:]
+    B = float(np.sum(b / n))
+    Bp = float(np.sum(b))
+    Bpp = float(np.sum(n * b))
+    Bt = float(np.sum(bt / n))
+    Btp = float(np.sum(bt))
+    Btpp = float(np.sum(n * bt))
+    var = 2.0 * (Bpp + Bp * Bp) - 2.0 * np.exp(-B + Bt) * (1.0 - np.exp(-B)) * (Btpp + Btp * Btp)
+    return float(var)
 
 
 def tv_bound(eta: float, n: int, tau: int) -> float:

@@ -11,6 +11,7 @@ which in one dimension is |mu1 - mu2| / sigma.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 from dataclasses import dataclass
 
@@ -168,15 +169,30 @@ def log_transform(data: Dataset) -> Dataset:
     return Dataset(np.log(arr), data.labels, data.time_origin)
 
 
+@contextlib.contextmanager
+def open_text(path, newline=None):
+    """Open a UTF-8 text file, dropping a leading byte-order mark; bytes that are
+    not UTF-8, and csv errors, met in the block are refused naming the file."""
+    with open(path, newline=newline, encoding="utf-8-sig") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            bad = exc.object[exc.start : exc.end].hex(" ")
+            raise DomainError(f"{path}: not UTF-8 text ({exc.reason}: {bad})") from None
+        except csv.Error as exc:
+            raise DomainError(f"{path}: {exc}") from None
+
+
 def read_dataset_csv(path) -> Dataset:
     """Load a dataset from CSV: header row of labels, one time point per row.
 
     A leading column whose header is `time` (any case) supplies the
     calendar origin: its first value becomes ``time_origin`` and the
     column is dropped from the series.  Values must be plain decimal
-    numbers with '.' as the decimal point.
+    numbers with '.' as the decimal point.  The file is UTF-8 text; a
+    byte-order mark, as spreadsheet programs write, is dropped.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -199,7 +215,7 @@ def read_dataset_csv(path) -> Dataset:
     time_origin = None
     if header and header[0].lower() == "time":
         tcol = arr[:, 0]
-        if np.any(tcol != np.floor(tcol)):
+        if not np.all(np.isfinite(tcol) & (tcol == np.floor(tcol))):
             raise DomainError(f"{path}: time column must hold integers")
         if np.any(np.diff(tcol) != 1):
             raise DomainError(f"{path}: time column must increase by 1 per row")

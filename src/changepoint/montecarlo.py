@@ -32,11 +32,9 @@ parallelism of :func:`run_study` (unset or 0 means all available cores,
 
 from __future__ import annotations
 
-import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import reduce
 from typing import Mapping
 
 import numpy as np
@@ -45,6 +43,7 @@ from .errors import ConfigurationError, DegenerateDataError
 from .estimators import cobb_window, default_cobb_delta, known_walk, profile_criterion
 from .exactdist import Pmf
 from .model import Dataset, MultivariateOrigin, UnivariateOrigin
+from .numerics import left_sum
 from . import errors as _errors
 
 __all__ = [
@@ -186,8 +185,7 @@ def _known_origin(config: SimConfig) -> UnivariateOrigin | MultivariateOrigin:
 def tv_distance(p: Mapping[int, float], q: Mapping[int, float]) -> float:
     """Half the L1 distance between two integer-supported distributions."""
     terms = (abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in set(p) | set(q))
-    # plain left-to-right float additions: from Python 3.12 sum() compensates
-    return 0.5 * float(reduce(operator.add, terms, 0.0))
+    return 0.5 * left_sum(terms)
 
 
 @dataclass(frozen=True)
@@ -274,7 +272,7 @@ def _accumulate_range(config: SimConfig, start: int, stop: int):
             failures["profile"] += nfail
         if "cobb" in modes:
             centers, clamped = _tally_cobb(config, walk, best + 1, counts["cobb"])
-            cobb_center = reduce(operator.add, centers.tolist(), cobb_center)
+            cobb_center = left_sum(centers.tolist(), cobb_center)
             cobb_clamped += clamped
     return counts, failures, cobb_center, cobb_clamped
 
@@ -320,8 +318,7 @@ def run_study(config: SimConfig, theoretical: Pmf) -> SimulationReport:
     chunk_counts, chunk_failures, chunk_centers, chunk_clamped = zip(*parts)
     counts = {m: sum(c[m] for c in chunk_counts) for m in config.modes}
     failures = {m: sum(f[m] for f in chunk_failures) for m in config.modes}
-    # plain left-to-right float additions: from Python 3.12 sum() compensates
-    cobb_center = reduce(operator.add, chunk_centers)
+    cobb_center = left_sum(chunk_centers)
     cobb_clamped = sum(chunk_clamped)
 
     for m, nfail in failures.items():

@@ -11,21 +11,21 @@ out.  ``log_std_normal_survival`` stays accurate there, and
 whose naive prefactor overflows at exp(625) for quite ordinary inputs
 even though the product itself is always in (0, 1].
 
-All functions are pure, operate in float64, and accept scalars or numpy
-arrays (broadcasting elementwise).
+All functions are pure and operate in float64; the survival functions
+accept scalars or numpy arrays (broadcasting elementwise).
 """
 
 from __future__ import annotations
+
+import operator
+from functools import reduce
 
 import numpy as np
 from scipy import special
 
 from .errors import DomainError
 
-__all__ = ["LogProb", "std_normal_survival", "log_std_normal_survival", "log_b_tilde"]
-
-# Log of a probability (or of a positive weight); <= 0 when a probability.
-LogProb = float
+__all__ = ["std_normal_survival", "log_std_normal_survival", "log_b_tilde", "left_sum"]
 
 
 def _check_finite(x, name: str):
@@ -62,7 +62,7 @@ def log_std_normal_survival(x):
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
-def log_b_tilde(n, eta: float) -> LogProb:
+def log_b_tilde(n, eta: float):
     """log of the tilted positivity weight b~_n = e^(n eta^2) sf(3 eta sqrt(n) / 2).
 
     ``n`` may be a positive integer or an array of them.  The result is
@@ -78,3 +78,8 @@ def log_b_tilde(n, eta: float) -> LogProb:
     nf = narr.astype(float)
     out = nf * eta * eta + special.log_ndtr(-1.5 * eta * np.sqrt(nf))
     return float(out) if np.isscalar(n) else out
+
+
+def left_sum(values, start: float = 0.0) -> float:
+    """``start + v0 + v1 + ...`` added left to right: from Python 3.12 ``sum()`` compensates."""
+    return float(reduce(operator.add, values, start))

@@ -33,7 +33,7 @@ from changepoint.exactdist import (
     build_pmf,
     suggested_kmax,
     tv_bound,
-    variance_closed_form,
+    variance_for,
 )
 from changepoint.model import standardized_change_multivariate
 from changepoint.montecarlo import (
@@ -163,7 +163,7 @@ def test_criterion_4_structural_suite():
         fine = build_pmf(eta, tol=1e-12)
         k = np.arange(1, fine.support_halfwidth + 1, dtype=float)
         direct = 2.0 * float(np.sum(k * k * fine.probs_half[1:]))
-        assert variance_closed_form(tables) == pytest.approx(direct, rel=1e-6)
+        assert variance_for(eta) == pytest.approx(direct, rel=1e-6)
     elapsed = time.perf_counter() - t0
     _line("4", elapsed < 5.0, f"structure verified for eta in {etas}; {elapsed:.2f} s")
     assert elapsed < 5.0

@@ -419,6 +419,113 @@ def test_exact_fit_at_d2_is_refused_by_detect_and_found_by_estimate(tmp_path, ca
     assert json.loads(out.read_text())["tau_hat"] == 15
 
 
+def test_non_utf8_input_exits_2_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"a\n1.0\n\xff\xfe\n2.0\n3.0\n")
+    assert main(["detect", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not UTF-8 text (invalid start byte: ff)")
+    assert "Traceback" not in err
+    rc = main(["simulate", "--in", str(path), "--seed", "1", "--out", str(tmp_path / "s.json")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8 text")
+
+
+def test_byte_order_mark_is_dropped(creek_csv, tmp_path, capsys):
+    # spreadsheet programs save CSV as UTF-8 with a BOM before the header
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + creek_csv.read_bytes())
+    reports = []
+    for path in (creek_csv, bom):
+        out = tmp_path / f"{path.stem}.json"
+        assert main(["estimate", "--in", str(path), "--columns", "Feb", "--out", str(out)]) == 0
+        reports.append((capsys.readouterr().out, out.read_bytes()))
+    assert reports[0] == reports[1]
+    assert "(year " in reports[1][0]
+    conf = tmp_path / "study.conf"
+    conf.write_bytes(b"\xef\xbb\xbfn = 40\ntau = 20\neta = 1.5\nreps = 10\n")
+    rc = main(["simulate", "--in", str(conf), "--seed", "1", "--out", str(tmp_path / "s.json")])
+    assert rc == 0
+
+
+# --- the exit-code contract on malformed CSV -----------------------------------
+
+_NOT_A_NUMBER = st.sampled_from(["x", "abc", "1.2.3", "--1", "1e", "0x10", "1_0_", "one"])
+_NON_FINITE = st.sampled_from(["nan", "NaN", "inf", "-inf", "+Infinity"])
+_NOT_UTF8 = st.sampled_from([b"\xff", b"\xfe\xff", b"\x80", b"\xc3(", b"\xed\xa0\x80", b"\xe2\x82"])
+
+
+@st.composite
+def _malformed_csv(draw):
+    """A CSV file with one defect, and what its refusal must say."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(4, 12))
+    timed = draw(st.booleans())
+    header = (["time"] if timed else []) + [f"y{j + 1}" for j in range(d)]
+    rows = [[f"{v:.6f}" for v in np.random.default_rng(draw(st.integers(0, 99))).standard_normal(d)]
+            for _ in range(n)]
+    if timed:
+        rows = [[str(1950 + i)] + row for i, row in enumerate(rows)]
+    width = len(header)
+    defect = draw(st.sampled_from(["ragged", "text", "non_finite", "time", "empty", "bytes"]))
+    i = draw(st.integers(0, n - 1))  # data row i is file line i + 2
+    j = draw(st.integers(0, width - 1))
+    expect = f":{i + 2}: "
+    if defect == "ragged":
+        if width > 1 and draw(st.booleans()):
+            rows[i] = rows[i][:-1]
+        else:
+            rows[i] = rows[i] + ["0.5"]
+    elif defect == "text":
+        rows[i][j] = draw(_NOT_A_NUMBER)
+    elif defect == "non_finite":
+        rows[i][j] = draw(_NON_FINITE)
+        if timed and j == 0:
+            expect = ": time column must hold integers"
+        else:
+            expect = f"non-finite value at row {i + 1}, column {j + 1 - timed}"
+    elif defect == "time":
+        if not timed:
+            header, rows = ["time"] + header, [["1950"] + row for row in rows]
+        if draw(st.booleans()):
+            rows[i][0] = f"{1950 + i}.5"
+            expect = ": time column must hold integers"
+        else:
+            rows[i][0] = str(1950 + i + draw(st.sampled_from([-1, 1, 2, 40])))
+            expect = ": time column must increase by 1 per row"
+    text = ",".join(header) + "\n" + "".join(",".join(row) + "\n" for row in rows)
+    if defect == "empty":
+        if draw(st.booleans()):
+            return b"", ": empty file"
+        return (",".join(header) + "\n" * draw(st.integers(1, 3))).encode(), ": no data rows"
+    data = text.encode()
+    if defect == "bytes":
+        lines = data.split(b"\n")
+        k = draw(st.integers(0, n))  # file line k + 1, the header included
+        at = draw(st.integers(0, len(lines[k])))
+        lines[k] = lines[k][:at] + draw(_NOT_UTF8) + lines[k][at:]
+        data = b"\n".join(lines)
+        expect = ": not UTF-8 text ("
+    return data, expect
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_malformed_csv())
+def test_malformed_csv_exits_2_without_traceback(case):
+    data, expect = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bad.csv"
+        path.write_bytes(data)
+        for command in ("detect", "estimate", "analyze"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                rc = main([command, "--in", str(path)])
+            assert rc == 2, (command, err.getvalue())
+            assert err.getvalue().startswith("error:")
+            assert "Traceback" not in err.getvalue()
+            assert expect in err.getvalue(), (command, err.getvalue())
+
+
 def test_analyze_log_transform_flag(tmp_path):
     rng = np.random.default_rng(77)
     y = np.exp(rng.standard_normal(60) * 0.5)
@@ -572,6 +679,37 @@ def test_simulate_flag_overrides(tmp_path, monkeypatch):
         "--family", "student_t", "--nu", "2",
     ])
     assert rc == 2  # overridden family needs nu > 2
+
+
+# With several faults in one config, the first in this order is reported:
+# unknown keys, missing n / tau / eta / reps, unparsable nu / d / delta /
+# reps, unparsable n / tau / eta, then the cells in grid order.
+_CONFIG_FAULTS = [
+    ("tau = 20\neta = 1\nfoo = 1\n", "unknown config keys: ['foo']"),
+    ("tau = 20\neta = 1\n", "missing 'n' (config key or flag)"),
+    ("n = 40\ntau = 20\n", "missing 'eta' (config key or flag)"),
+    ("n = 40\ntau = 20\neta = 1\n", "missing 'reps' (config key or --reps)"),
+    ("n = 40\ntau = 20\neta = 1\nreps = x\nnu = y\n",
+     "config key 'nu': could not convert string to float: 'y'"),
+    ("n = 40\ntau = 20\neta = 1\nreps = 3.5\ndelta = r\n",
+     "config key 'delta': invalid literal for int() with base 10: 'r'"),
+    ("n = a\ntau = 20\neta = 1\nreps = x\n",
+     "config key 'reps': invalid literal for int() with base 10: 'x'"),
+    ("n = 40\ntau = t\neta = e\nreps = 3\n",
+     "config key 'tau': invalid literal for int() with base 10: 't'"),
+    ("n = 40, 50\ntau = 45, 10\neta = 1, e\nreps = 3\n",
+     "config key 'eta': could not convert string to float: 'e'"),
+    ("n = 40, 50\ntau = 45, 10\neta = 1\nreps = 3\n",
+     "tau must be in [1, n-1], got tau=45, n=40"),
+]
+
+
+@pytest.mark.parametrize("body, message", _CONFIG_FAULTS)
+def test_simulate_config_fault_precedence(tmp_path, capsys, body, message):
+    conf = _sim_config(tmp_path, body)
+    rc = main(["simulate", "--in", str(conf), "--seed", "1", "--out", str(tmp_path / "s.json")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 _NUMERIC_KEYS = {"n": int, "tau": int, "eta": float, "d": int, "nu": float, "reps": int, "delta": int}

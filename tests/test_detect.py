@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from changepoint.detect import (
     covariance_change_statistic,
@@ -183,24 +185,60 @@ def test_diagnostics_domain_and_degenerate():
 
 # --- invariances and serialization -------------------------------------------
 
-def test_location_invariance():
-    rng = np.random.default_rng(41)
-    y = rng.standard_normal((36, 3))
-    y[18:] += [1.0, 0.5, -0.5]
+def _top_two_gap(trace: np.ndarray) -> float:
+    top = np.sort(trace[np.isfinite(trace)])
+    return float(top[-1] - top[-2])
+
+
+@st.composite
+def _shifted_series(draw):
+    """(seed, n, tau, shift): an n x d normal series whose mean moves by shift after row tau."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(16, 60))
+    tau = draw(st.integers(d + 1, n - d - 1))
+    shift = tuple(draw(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d)))
+    return draw(st.integers(0, 2**32 - 1)), n, tau, shift
+
+
+def _series(case) -> np.ndarray:
+    seed, n, tau, shift = case
+    y = np.random.default_rng(seed).standard_normal((n, len(shift)))
+    y[tau:] += shift
+    return y
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@example(case=(41, 36, 18, (1.0, 0.5, -0.5)), offset=(1e6, -2e6, 3e6))
+@given(case=_shifted_series(), offset=st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3))
+def test_location_invariance(case, offset):
+    y = _series(case)
     a = mean_change_statistic(Dataset(y))
-    b = mean_change_statistic(Dataset(y + np.array([1e6, -2e6, 3e6])))
+    assume(_top_two_gap(np.asarray(a.trace)) > 1e-6)
+    b = mean_change_statistic(Dataset(y + np.array(offset[: y.shape[1]])))
     assert b.tau_hat == a.tau_hat
     assert b.U == pytest.approx(a.U, rel=1e-10, abs=1e-8)
     assert b.W == pytest.approx(a.W, rel=1e-10, abs=1e-8)
 
 
-def test_affine_invariance_of_mean_statistic():
-    rng = np.random.default_rng(43)
-    y = rng.standard_normal((36, 3))
-    y[18:] += [1.0, 0.5, -0.5]
-    A = np.array([[2.0, 0.3, 0.0], [0.1, -1.0, 0.4], [0.0, 0.2, 0.7]])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@example(
+    case=(43, 36, 18, (1.0, 0.5, -0.5)),
+    A=((2.0, 0.3, 0.0), (0.1, -1.0, 0.4), (0.0, 0.2, 0.7)),
+    offset=(0.0, 0.0, 0.0),
+)
+@given(
+    case=_shifted_series(),
+    A=st.lists(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3), min_size=3, max_size=3),
+    offset=st.lists(st.floats(-100.0, 100.0), min_size=3, max_size=3),
+)
+def test_affine_invariance_of_mean_statistic(case, A, offset):
+    y = _series(case)
+    d = y.shape[1]
+    A = np.array(A)[:d, :d]
+    assume(np.linalg.svd(A, compute_uv=False).min() > 0.05)  # well away from singular
     a = mean_change_statistic(Dataset(y))
-    b = mean_change_statistic(Dataset(y @ A.T))
+    assume(_top_two_gap(np.asarray(a.trace)) > 1e-6)
+    b = mean_change_statistic(Dataset(y @ A.T + np.array(offset[:d])))
     assert b.tau_hat == a.tau_hat
     assert b.U == pytest.approx(a.U, rel=1e-8)
 

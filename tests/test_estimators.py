@@ -67,24 +67,54 @@ def test_known_tie_resolves_to_smallest_index():
     assert fit.tau_hat == 1
 
 
-def test_known_reversal_duality():
-    rng = np.random.default_rng(5)
-    y = rng.standard_normal(30)
-    y[18:] += 1.3
-    fwd = mle_known(Dataset(y), _uni_model(0.0, 1.3, 1.0))
-    rev = mle_known(Dataset(y[::-1].copy()), _uni_model(1.3, 0.0, 1.0))
-    assert rev.tau_hat == 30 - fwd.tau_hat
+@st.composite
+def _known_case(draw):
+    """(seed, n, tau, mu1, mu2, sigma): a univariate step series and its true parameters."""
+    n = draw(st.integers(4, 80))
+    tau = draw(st.integers(1, n - 1))
+    mu1 = draw(st.floats(-5.0, 5.0))
+    mu2 = draw(st.floats(-5.0, 5.0).filter(lambda m: abs(m - mu1) > 0.05))
+    return draw(st.integers(0, 2**32 - 1)), n, tau, mu1, mu2, draw(st.floats(0.1, 5.0))
 
 
-def test_known_scaling_invariance():
-    rng = np.random.default_rng(11)
-    y = rng.standard_normal(40)
-    y[25:] += 2.0
-    base = mle_known(Dataset(y), _uni_model(0.0, 2.0, 1.0))
-    for c in (0.01, 3.0, 250.0):
-        scaled = mle_known(Dataset(c * y), _uni_model(0.0, 2.0 * c, c))
-        assert scaled.tau_hat == base.tau_hat
-        assert np.allclose(scaled.walk_trace, base.walk_trace, rtol=1e-12)
+def _step_series(seed, n, tau, mu1, mu2, sigma) -> np.ndarray:
+    y = mu1 + sigma * np.random.default_rng(seed).standard_normal(n)
+    y[tau:] += mu2 - mu1
+    return y
+
+
+def _top_two_gap(walk: np.ndarray) -> float:
+    top = np.sort(walk)
+    return float(top[-1] - top[-2]) if len(top) > 1 else np.inf
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@example(case=(5, 30, 18, 0.0, 1.3, 1.0))
+@given(case=_known_case())
+def test_known_reversal_duality(case):
+    # reversing time and swapping mu1 / mu2 maps the walk's argmax t to n - t
+    seed, n, tau, mu1, mu2, sigma = case
+    y = _step_series(*case)
+    fwd = mle_known(Dataset(y), _uni_model(mu1, mu2, sigma))
+    assume(_top_two_gap(fwd.walk_trace) > 1e-9 * max(1.0, float(np.abs(fwd.walk_trace).max())))
+    rev = mle_known(Dataset(y[::-1].copy()), _uni_model(mu2, mu1, sigma))
+    assert rev.tau_hat == n - fwd.tau_hat
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@example(case=(11, 40, 25, 0.0, 2.0, 1.0), c=0.01)
+@example(case=(11, 40, 25, 0.0, 2.0, 1.0), c=3.0)
+@example(case=(11, 40, 25, 0.0, 2.0, 1.0), c=250.0)
+@given(case=_known_case(), c=st.floats(1e-3, 1e3))
+def test_known_scaling_invariance(case, c):
+    # scaling data, means and sigma by c leaves every walk step unchanged
+    seed, n, tau, mu1, mu2, sigma = case
+    y = _step_series(*case)
+    base = mle_known(Dataset(y), _uni_model(mu1, mu2, sigma))
+    assume(_top_two_gap(base.walk_trace) > 1e-9 * max(1.0, float(np.abs(base.walk_trace).max())))
+    scaled = mle_known(Dataset(c * y), _uni_model(c * mu1, c * mu2, c * sigma))
+    assert scaled.tau_hat == base.tau_hat
+    assert np.allclose(scaled.walk_trace, base.walk_trace, rtol=1e-12)
 
 
 def test_known_multivariate_matches_first_coordinate_reduction():

@@ -25,7 +25,6 @@ from changepoint.exactdist import (
     suggested_kmax,
     symmetric_interval,
     tv_bound,
-    variance_closed_form,
     variance_for,
     write_pmf_csv,
 )
@@ -172,11 +171,11 @@ def test_symmetric_interval_unreachable_level():
 # --- variance -------------------------------------------------------------
 
 @pytest.mark.parametrize("eta", ETAS)
-def test_variance_matches_direct_second_moment(eta, tables):
+def test_variance_matches_direct_second_moment(eta):
     pmf = build_pmf(eta, tol=1e-12)
     k = np.arange(1, pmf.support_halfwidth + 1, dtype=float)
     direct = 2.0 * float(np.sum(k * k * pmf.probs_half[1:]))
-    closed = variance_closed_form(tables[eta])
+    closed = variance_for(eta)
     assert closed == pytest.approx(direct, rel=1e-6)
     assert closed >= 0.0
 
@@ -196,17 +195,6 @@ def test_variance_decreasing_in_eta():
     vals = [variance_for(eta) for eta in (1.0, 1.5, 2.0, 2.5)]
     assert vals == sorted(vals, reverse=True)
     assert variance_for(10.0) < 1e-4
-
-
-def test_variance_insufficient_kmax():
-    with pytest.raises(PrecisionError):
-        variance_closed_form(build_ladder_tables(0.5, 20, tol=1e-12))
-
-
-@pytest.mark.parametrize("eta", [0.1122, 0.3554, 1.0, 2.831])
-def test_variance_for_equals_closed_form_on_tables_bit_exact(eta):
-    tables = build_ladder_tables(eta, suggested_kmax(eta, 1e-12), tol=1e-12)
-    assert variance_for(eta) == variance_closed_form(tables)
 
 
 def test_variance_for_builds_no_ladder_tables(monkeypatch):

@@ -177,3 +177,16 @@ def test_csv_errors(tmp_path):
     nontime.write_text("time,a\n1951.5,1\n1952.5,2\n1953.5,3\n1954.5,4\n")
     with pytest.raises(DomainError, match="integers"):
         read_dataset_csv(nontime)
+
+
+def test_csv_reader_errors_are_refusals(tmp_path):
+    # an infinite calendar label is no integer, even on a single row
+    inf_time = tmp_path / "inf.csv"
+    inf_time.write_text("time,a\ninf,1\n")
+    with pytest.raises(DomainError, match="integers"):
+        read_dataset_csv(inf_time)
+    # a field past the csv module's size limit is refused, naming the file
+    huge = tmp_path / "huge.csv"
+    huge.write_text("a\n1\n" + "1" * 200_000 + "\n")
+    with pytest.raises(DomainError, match=r"huge\.csv: field larger than field limit"):
+        read_dataset_csv(huge)

@@ -11,7 +11,12 @@ import numpy as np
 import pytest
 
 from changepoint.errors import DomainError
-from changepoint.numerics import log_b_tilde, log_std_normal_survival, std_normal_survival
+from changepoint.numerics import (
+    left_sum,
+    log_b_tilde,
+    log_std_normal_survival,
+    std_normal_survival,
+)
 
 # mpmath.ncdf(-1.96) at 50 digits
 SF_196 = 0.024997895148220436
@@ -115,3 +120,11 @@ def test_log_b_tilde_domain_checks():
         log_b_tilde(3, -1.0)
     with pytest.raises(DomainError):
         log_b_tilde(2.5, 1.0)
+
+
+def test_left_sum_adds_left_to_right_without_compensation():
+    # each 1e-16 is lost against 1.0; a compensated sum would keep them
+    assert left_sum([1e-16, 1e-16], 1.0) == 1.0
+    assert left_sum([1e-16, 1e-16, 1.0]) == 1.0 + 2e-16
+    assert left_sum([]) == 0.0
+    assert left_sum(np.array([0.5, 0.25]).tolist(), 2.0) == 2.75
