@@ -236,6 +236,8 @@ def _print_interval(label: str, iv) -> None:
 
 
 def cmd_analyze(args) -> int:
+    if args.delta is not None:
+        estimators.check_cobb_delta(args.delta)
     data = _load(args)
     report: dict = {
         "input": args.input,

@@ -56,26 +56,27 @@ class DetectionReport:
     admissible: tuple[int, int]
 
 
-def darling_erdos_transform(U: float, n: int, p: int) -> float:
-    """Iterated-logarithm normalization of a max-type statistic."""
+def _darling_erdos_terms(n: int, p: int) -> tuple[float, float]:
+    """(log log n, c) with W = sqrt(2 log log n * U) - c."""
     if n < _MIN_N_FOR_W:
         raise DomainError(f"n must be >= {_MIN_N_FOR_W} for the normalization, got {n}")
-    if U < 0 or not np.isfinite(U):
-        raise DomainError(f"U must be finite and >= 0, got {U!r}")
     if p < 1:
         raise DomainError(f"p must be >= 1, got {p}")
     ll = math.log(math.log(n))
-    lll = math.log(ll)
-    return math.sqrt(2.0 * ll * U) - (2.0 * ll + 0.5 * p * lll - math.lgamma(p / 2.0))
+    return ll, 2.0 * ll + 0.5 * p * math.log(ll) - math.lgamma(p / 2.0)
+
+
+def darling_erdos_transform(U: float, n: int, p: int) -> float:
+    """Iterated-logarithm normalization of a max-type statistic."""
+    ll, c = _darling_erdos_terms(n, p)
+    if U < 0 or not np.isfinite(U):
+        raise DomainError(f"U must be finite and >= 0, got {U!r}")
+    return math.sqrt(2.0 * ll * U) - c
 
 
 def darling_erdos_inverse(w: float, n: int, p: int) -> float:
     """Algebraic inverse: the U giving transform value w (w above the floor)."""
-    if n < _MIN_N_FOR_W:
-        raise DomainError(f"n must be >= {_MIN_N_FOR_W}, got {n}")
-    ll = math.log(math.log(n))
-    lll = math.log(ll)
-    c = 2.0 * ll + 0.5 * p * lll - math.lgamma(p / 2.0)
+    ll, c = _darling_erdos_terms(n, p)
     if w + c < 0:
         raise DomainError(f"w={w} is below the U=0 floor of the transform")
     return (w + c) ** 2 / (2.0 * ll)

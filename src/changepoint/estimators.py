@@ -60,11 +60,6 @@ class ConditionalPmf:
     delta: int
     probs: np.ndarray  # index l + delta
 
-    def prob(self, l: int) -> float:
-        if abs(l) > self.delta:
-            return 0.0
-        return float(self.probs[l + self.delta])
-
 
 def loglik_ratio_terms(
     series: np.ndarray, origin: UnivariateOrigin | MultivariateOrigin
@@ -213,6 +208,12 @@ def cobb_window(walk: np.ndarray, tau_hat: int | np.ndarray, delta: int) -> np.n
     return w / w.sum(axis=-1, keepdims=True)
 
 
+def check_cobb_delta(delta: int) -> None:
+    """Refuse a conditional window halfwidth below 1."""
+    if delta < 1:
+        raise DomainError(f"delta must be >= 1, got {delta}")
+
+
 def cobb_conditional(
     data: Dataset,
     tau_hat: int,
@@ -225,8 +226,7 @@ def cobb_conditional(
     the split at tau_hat + l, normalized over the window (``cobb_window``).
     """
     n = data.n
-    if delta < 1:
-        raise DomainError(f"delta must be >= 1, got {delta}")
+    check_cobb_delta(delta)
     if tau_hat - delta < 1 or tau_hat + delta > n - 1:
         raise DomainError(
             f"window tau_hat +- delta = [{tau_hat - delta}, {tau_hat + delta}] "
@@ -236,12 +236,12 @@ def cobb_conditional(
     return ConditionalPmf(delta=delta, probs=cobb_window(walk, tau_hat, delta))
 
 
-def default_cobb_delta(tau_hat: int | np.ndarray, n: int, cap: int = 15) -> np.integer | np.ndarray:
-    """Widest window around tau_hat that stays inside the sample, capped, and at least 1.
+def default_cobb_delta(tau_hat: int | np.ndarray, n: int) -> np.integer | np.ndarray:
+    """Widest window around tau_hat that stays inside the sample, at most 15, and at least 1.
 
     Elementwise over an array of estimates; a numpy integer for one estimate.
     """
-    return np.clip(np.minimum(tau_hat - 1, n - 1 - tau_hat), 1, cap)
+    return np.clip(np.minimum(tau_hat - 1, n - 1 - tau_hat), 1, 15)
 
 
 @dataclass(frozen=True)

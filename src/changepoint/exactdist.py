@@ -72,6 +72,9 @@ ETA_GUARD = 0.05
 
 _KMAX_CAP = 100_000
 
+# Certified tolerance of the variance series and of the no-ladder mass.
+_SERIES_TOL = 1e-12
+
 
 def _check_eta_tol(eta: float, tol: float) -> None:
     if not np.isfinite(eta):
@@ -107,7 +110,7 @@ class LadderTables:
     truncation_error: float
 
 
-def build_ladder_tables(eta: float, kmax: int, tol: float = 1e-12) -> LadderTables:
+def build_ladder_tables(eta: float, kmax: int, tol: float = _SERIES_TOL) -> LadderTables:
     """Build b, b~, q, q~ up to index ``kmax`` plus the no-ladder mass.
 
     The convolution recursions are evaluated in the plain probability
@@ -253,7 +256,7 @@ def build_pmf(eta: float, tol: float = 1e-10, level: float | None = None) -> Pmf
     if not np.isfinite(size) or (size > _KMAX_CAP and level is None):
         raise PrecisionError(too_long)
     kmax = max(8, int(np.ceil(size)))
-    g0, half, m = _ladder_masses(eta, min(kmax, _KMAX_CAP), min(tol, 1e-12), level)
+    g0, half, m = _ladder_masses(eta, min(kmax, _KMAX_CAP), min(tol, _SERIES_TOL), level)
     if m is not None:
         return _cut_pmf(eta, tol, r, g0, half, m)
     if kmax > _KMAX_CAP:
@@ -265,17 +268,16 @@ def build_pmf(eta: float, tol: float = 1e-10, level: float | None = None) -> Pmf
     return _cut_pmf(eta, tol, r, g0, half, K)
 
 
-# First block of the level-sized recursion; later blocks grow by 1/8.
+# First block of the ladder recursion; later blocks grow by 1/8.
 _FIRST_BLOCK = 64
 
 
 def _ladder_masses(eta: float, N: int, tol: float, level: float | None):
-    """Masses over [0, N] from the ladder recursion.
+    """Masses over [0, N] from the ladder recursion, run in growing blocks.
 
-    Without a level the recursion runs over [1, N] at once.  With one it
-    runs in growing blocks until ``half[0] + 2 half[1] + ... + 2 half[m]``
-    reaches ``level``.  Returns (g0, half, m); half is filled up to m, or
-    to N with m None when no level is given or it is not reached.
+    With a level they stop once ``half[0] + 2 half[1] + ... + 2 half[m]``
+    reaches it.  Returns (g0, half, m); half is filled up to m, or to N
+    with m None when no level is given or it is not reached.
     """
     g0, _ = _no_ladder_mass(eta, tol)
     g = 1.0 - g0
@@ -287,7 +289,7 @@ def _ladder_masses(eta: float, N: int, tol: float, level: float | None):
         return g0, half, 0
     lo = 1
     while lo <= N:
-        hi = N + 1 if level is None else min(N + 1, lo + max(_FIRST_BLOCK, lo // 8))
+        hi = min(N + 1, lo + max(_FIRST_BLOCK, lo // 8))
         _ladder_recursion(rb, rbt, q, qt, lo, hi)
         half[lo:hi] = g0 * (q[lo:hi] - g * qt[lo:hi])
         if level is not None:
@@ -358,23 +360,23 @@ def symmetric_interval(pmf: Pmf, level: float) -> int:
     )
 
 
-def suggested_kmax(eta: float, tol: float = 1e-12) -> int:
-    """Series length at which the n b_n tail is certifiably < tol.
+def suggested_kmax(eta: float) -> int:
+    """Series length at which the n b_n tail is certifiably < 1e-12.
 
     This sizes the b / b~ series of ``variance_for``; the n b_n sum is
     the slowest-converging series built from b.  Only O(k) series are
     built at this length, so it is not held to the O(k^2) tables' cap
-    (k <= 177,513 at eta = ETA_GUARD, tol = 1e-12).
+    (k <= 177,513 at eta = ETA_GUARD).
     """
-    _check_eta_tol(eta, min(tol, 1e-6))
+    _check_eta_tol(eta, _SERIES_TOL)
     r = np.exp(-eta * eta / 8.0)
     k = 8
-    while 0.5 * r ** (k + 1) * ((k + 1) * (1.0 - r) + r) / (1.0 - r) ** 2 >= tol:
+    while 0.5 * r ** (k + 1) * ((k + 1) * (1.0 - r) + r) / (1.0 - r) ** 2 >= _SERIES_TOL:
         k = k + max(8, k // 2)
     return k
 
 
-def variance_for(eta: float, tol: float = 1e-12) -> float:
+def variance_for(eta: float) -> float:
     """Variance of the limiting offset from the generating-function series.
 
     Uses B(1) = sum b_n / n, B'(1) = sum b_n, B''(1) = sum n b_n and the
@@ -384,11 +386,10 @@ def variance_for(eta: float, tol: float = 1e-12) -> float:
 
     which equals the second moment of the masses of ``build_pmf`` exactly
     (same approximation, same total).  The series run to
-    ``suggested_kmax``, where the n b_n tail is certifiably below ``tol``.
+    ``suggested_kmax``, where the n b_n tail is certifiably below 1e-12.
     O(K): only sums of b_n and b~_n enter, so no q / q~ recursion runs.
     """
-    _check_eta_tol(eta, tol)
-    kmax = suggested_kmax(eta, tol)
+    kmax = suggested_kmax(eta)
     b, bt = _b_series(eta, kmax)
     n = np.arange(1, kmax + 1, dtype=float)
     b = b[1:]

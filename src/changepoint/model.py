@@ -62,6 +62,8 @@ class Dataset:
         labels = tuple(self.labels) if self.labels else tuple(f"y{j + 1}" for j in range(d))
         if len(labels) != d:
             raise DomainError(f"{len(labels)} labels for {d} columns")
+        if len(set(labels)) != d:
+            raise DomainError(f"duplicate column labels in {list(labels)}")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "series", arr)

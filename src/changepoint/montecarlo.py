@@ -353,9 +353,9 @@ def run_study(config: SimConfig, theoretical: Pmf) -> SimulationReport:
     )
 
 
-def default_horizon(eta: float, bound: float = 1e-6) -> int:
-    """Smallest horizon h with 4 exp(-eta^2 h / 8) below ``bound``."""
-    return int(np.ceil(8.0 * np.log(4.0 / bound) / (eta * eta)))
+def default_horizon(eta: float) -> int:
+    """Smallest horizon h with 4 exp(-eta^2 h / 8) below 1e-6."""
+    return int(np.ceil(8.0 * np.log(4.0 / 1e-6) / (eta * eta)))
 
 
 def _walk_batches(eta: float, arms: int, length: int, replications: int, seed: int):
@@ -368,22 +368,14 @@ def _walk_batches(eta: float, arms: int, length: int, replications: int, seed: i
         yield np.cumsum(steps, axis=2, out=steps)
 
 
-def oracle_xi_infinity(
-    eta: float, horizon: int, replications: int, seed: int
-) -> dict[int, float]:
+def oracle_xi_infinity(eta: float, replications: int, seed: int) -> dict[int, float]:
     """Brute-force law of the two-sided argmax, as offset -> frequency.
 
     Simulates both arms of the limiting walk (drift -eta^2/2, variance
-    eta^2 per step) out to ``horizon`` and takes the smallest-|k| argmax
-    with the origin's value fixed at 0.  The horizon must make the
-    beyond-horizon argmax probability bound 4 exp(-eta^2 h / 8) smaller
-    than 1e-6.
+    eta^2 per step) out to ``default_horizon(eta)`` and takes the
+    smallest-|k| argmax with the origin's value fixed at 0.
     """
-    if 4.0 * np.exp(-eta * eta * horizon / 8.0) >= 1e-6:
-        raise ConfigurationError(
-            f"horizon {horizon} leaves argmax-beyond-horizon bound above 1e-6 "
-            f"(need >= {default_horizon(eta)})"
-        )
+    horizon = default_horizon(eta)
     counts = np.zeros(2 * horizon + 1, dtype=np.int64)
     for pos, neg in _walk_batches(eta, 2, horizon, replications, seed):
         max_p = pos.max(axis=1)

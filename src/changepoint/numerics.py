@@ -76,7 +76,7 @@ def log_b_tilde(n, eta: float):
     if not np.isfinite(eta) or eta <= 0:
         raise DomainError(f"eta must be a positive finite real, got {eta!r}")
     nf = narr.astype(float)
-    out = nf * eta * eta + special.log_ndtr(-1.5 * eta * np.sqrt(nf))
+    out = nf * eta * eta + log_std_normal_survival(1.5 * eta * np.sqrt(nf))
     return float(out) if np.isscalar(n) else out
 
 

@@ -38,7 +38,6 @@ from changepoint.exactdist import (
 from changepoint.model import standardized_change_multivariate
 from changepoint.montecarlo import (
     SimConfig,
-    default_horizon,
     ladder_oracle,
     oracle_xi_infinity,
     run_study,
@@ -155,7 +154,7 @@ def test_criterion_4_structural_suite():
             assert pmf.prob(k) == pmf.prob(-k)  # bit-exact symmetry
         assert pmf.total_mass() >= 1.0 - 1e-8
         assert pmf.prob(0) == pmf.no_ladder * pmf.no_ladder  # bit-exact atom
-        tables = build_ladder_tables(eta, suggested_kmax(eta, 1e-12), tol=1e-12)
+        tables = build_ladder_tables(eta, suggested_kmax(eta), tol=1e-12)
         assert tables.q[1] == pytest.approx(std_normal_survival(eta / 2.0), rel=1e-13)
         assert tables.q_tilde[1] == pytest.approx(
             math.exp(eta * eta) * std_normal_survival(1.5 * eta), rel=1e-12
@@ -172,7 +171,7 @@ def test_criterion_4_structural_suite():
 # --- criterion 5: oracle equivalence ---------------------------------------------
 
 def _oracle_tv(eta: float) -> float:
-    emp = oracle_xi_infinity(eta, default_horizon(eta), 1_000_000, SEEDS["oracle"][eta])
+    emp = oracle_xi_infinity(eta, 1_000_000, SEEDS["oracle"][eta])
     return tv_distance(emp, build_pmf(eta).as_mapping())
 
 

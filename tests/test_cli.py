@@ -542,6 +542,59 @@ def test_analyze_log_transform_flag(tmp_path):
     assert report["estimation"]["tau_hat"] == 30
 
 
+@pytest.mark.parametrize("delta", ["0", "-3"])
+def test_analyze_delta_below_one_exits_2(creek_csv, tmp_path, capsys, delta):
+    # refused before the data are read, whether or not detection is significant
+    missing = tmp_path / "missing.csv"
+    for path in (creek_csv, missing):
+        assert main(["analyze", "--in", str(path), "--delta", delta]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: delta must be >= 1, got {delta}\n"
+        assert captured.out == ""
+
+
+def test_analyze_window_outrunning_the_sample_is_reported(creek_csv, tmp_path):
+    out = tmp_path / "a.json"
+    assert main(["analyze", "--in", str(creek_csv), "--delta", "20", "--out", str(out)]) == 0
+    intervals = json.loads(out.read_text())["intervals"]
+    assert intervals["conditional"] is None
+    assert "exceeds the admissible splits" in intervals["conditional_error"]
+
+
+def test_analyze_fit_at_the_first_split_reports_no_conditional_interval(tmp_path, capsys):
+    # a leading outlier: the profile fit puts the change after row 1, so the
+    # default window has halfwidth 1 and runs past the admissible splits
+    y = np.r_[12.0, np.random.default_rng(0).normal(0.0, 1.0, 39)]
+    path = tmp_path / "outlier.csv"
+    path.write_text("a\n" + "".join(f"{v!r}\n" for v in y.tolist()))
+    out = tmp_path / "a.json"
+    assert main(["analyze", "--in", str(path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["significant"] is True
+    assert report["estimation"]["tau_hat"] == 1
+    assert report["intervals"]["delta"] == 1
+    assert report["intervals"]["conditional"] is None
+    assert report["intervals"]["conditional_error"].startswith("window tau_hat +- delta = [0, 2]")
+    assert "conditional interval unavailable" in capsys.readouterr().out
+
+
+def test_analyze_constant_segments_at_d1_exit_3(tmp_path, capsys):
+    path = tmp_path / "spike.csv"
+    path.write_text("a\n5\n" + "0\n" * 29)
+    assert main(["analyze", "--in", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: pooled sigma is 0 at tau_hat=1: both segments are constant\n"
+
+
+def test_duplicate_column_labels_exit_2(creek_csv, tmp_path, capsys):
+    dup = tmp_path / "dup.csv"
+    dup.write_text("a,a\n" + "".join(f"{i % 3}.5,{i}\n" for i in range(20)))
+    assert main(["estimate", "--in", str(dup), "--columns", "a"]) == 2
+    assert capsys.readouterr().err == "error: duplicate column labels in ['a', 'a']\n"
+    assert main(["estimate", "--in", str(creek_csv), "--columns", "Feb,Feb"]) == 2
+    assert capsys.readouterr().err == "error: duplicate column labels in ['Feb', 'Feb']\n"
+
+
 # --- detect / estimate / ci ----------------------------------------------------
 
 def test_detect_reports_both_statistics(creek_csv, tmp_path):
@@ -563,6 +616,16 @@ def test_estimate_outputs_profile_fit(creek_csv, tmp_path, capsys):
     assert obj["mode"] == "profile"
     assert obj["tau_hat"] == 14
     assert "(year 1964)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["detect", "estimate", "analyze"])
+def test_origin_flag_labels_the_estimate(tmp_path, capsys, command):
+    rng = np.random.default_rng(2)
+    y = np.r_[rng.normal(0.0, 1.0, 30), rng.normal(3.0, 1.0, 30)]
+    path = tmp_path / "shift.csv"
+    path.write_text("y\n" + "".join(f"{v!r}\n" for v in y.tolist()))
+    assert main([command, "--in", str(path), "--origin", "1800"]) == 0
+    assert "30 (year 1829)" in capsys.readouterr().out
 
 
 def test_ci_command_calendar(tmp_path, capsys):
@@ -710,6 +773,37 @@ def test_simulate_config_fault_precedence(tmp_path, capsys, body, message):
     rc = main(["simulate", "--in", str(conf), "--seed", "1", "--out", str(tmp_path / "s.json")])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_simulate_config_line_faults(tmp_path, capsys):
+    out = str(tmp_path / "s.json")
+    conf = _sim_config(tmp_path, "n = 40\ntau = 20\neta = 1\nreps 10\n")
+    assert main(["simulate", "--in", str(conf), "--seed", "1", "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: {conf}:4: expected 'key = value'\n"
+    conf = _sim_config(tmp_path, "n = 40\ntau = 20\nn = 50\neta = 1\nreps = 10\n")
+    assert main(["simulate", "--in", str(conf), "--seed", "1", "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: {conf}:3: duplicate key 'n'\n"
+
+
+def test_simulate_config_skips_comments_and_blank_lines(tmp_path, monkeypatch):
+    monkeypatch.setenv("CHANGEPOINT_THREADS", "1")
+    reports = []
+    for body in (
+        "n = 40\ntau = 20\neta = 2.0\nreps = 10\n",
+        "# a study cell\n\nn = 40  # rows\n\n   \ntau = 20\neta = 2.0\n# done\nreps = 10\n",
+    ):
+        conf = _sim_config(tmp_path, body)
+        out = tmp_path / "s.json"
+        assert main(["simulate", "--in", str(conf), "--seed", "7", "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_simulate_non_integer_thread_count_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CHANGEPOINT_THREADS", "abc")
+    conf = _sim_config(tmp_path, "n = 40\ntau = 20\neta = 2.0\nreps = 10\n")
+    assert main(["simulate", "--in", str(conf), "--seed", "1", "--out", str(tmp_path / "s.json")]) == 2
+    assert capsys.readouterr().err == "error: CHANGEPOINT_THREADS must be an integer, got 'abc'\n"
 
 
 _NUMERIC_KEYS = {"n": int, "tau": int, "eta": float, "d": int, "nu": float, "reps": int, "delta": int}

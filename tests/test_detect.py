@@ -94,6 +94,10 @@ def test_transform_domain():
         darling_erdos_transform(-0.5, 40, 1)
     with pytest.raises(DomainError):
         darling_erdos_transform(1.0, 40, 0)
+    with pytest.raises(DomainError):
+        darling_erdos_inverse(1.0, 15, 1)
+    with pytest.raises(DomainError):
+        darling_erdos_inverse(1.0, 40, 0)
 
 
 def test_p_value_reported_pairs():

@@ -41,7 +41,7 @@ def pmfs():
 
 @pytest.fixture(scope="module")
 def tables():
-    return {eta: build_ladder_tables(eta, suggested_kmax(eta, 1e-12), tol=1e-12) for eta in ETAS}
+    return {eta: build_ladder_tables(eta, suggested_kmax(eta), tol=1e-12) for eta in ETAS}
 
 
 # --- ladder tables --------------------------------------------------------
@@ -118,6 +118,13 @@ def test_total_mass_identity(eta, pmfs, tables):
 
 def test_mass_concentrates_for_large_change():
     assert build_pmf(10.0).prob(0) > 0.999
+
+
+def test_trailing_masses_that_underflow_are_trimmed():
+    # kmax is 8 at eta = 40, but the masses underflow to 0 past k = 3
+    pmf = build_pmf(40.0)
+    assert pmf.support_halfwidth == 3
+    assert pmf.probs_half[3] > 0.0
 
 
 def test_confidence_level_partial_sums():
@@ -209,7 +216,7 @@ def test_variance_for_builds_no_ladder_tables(monkeypatch):
 
 @pytest.mark.parametrize("eta", [0.7, 2.0])
 def test_recursion_matches_strided_reference_bit_exact(eta):
-    kmax = suggested_kmax(eta, 1e-12)
+    kmax = suggested_kmax(eta)
     t = build_ladder_tables(eta, kmax, tol=1e-12)
     b, bt = t.b, t.b_tilde
     q = np.empty(kmax + 1)

@@ -328,15 +328,10 @@ def test_default_horizon_bound():
         assert 4.0 * np.exp(-eta * eta * (h - 1) / 8.0) >= 1e-6
 
 
-def test_oracle_horizon_guard():
-    with pytest.raises(ConfigurationError):
-        oracle_xi_infinity(1.0, 20, 1000, seed=1)
-
-
 def test_oracle_atom_and_symmetry():
     eta = 2.0
     reps = 200_000
-    emp = oracle_xi_infinity(eta, default_horizon(eta), reps, seed=90)
+    emp = oracle_xi_infinity(eta, reps, seed=90)
     tables = build_ladder_tables(eta, 10)
     p0 = tables.no_ladder**2
     se = np.sqrt(p0 * (1 - p0) / reps)
@@ -348,7 +343,7 @@ def test_oracle_atom_and_symmetry():
 
 
 def test_oracle_close_to_exact_distribution_at_eta2():
-    emp = oracle_xi_infinity(2.0, default_horizon(2.0), 200_000, seed=91)
+    emp = oracle_xi_infinity(2.0, 200_000, seed=91)
     tv = tv_distance(emp, build_pmf(2.0).as_mapping())
     assert tv <= 0.012  # intrinsic formula gap ~0.0033 plus MC noise at 2e5
 
@@ -357,7 +352,7 @@ def test_oracle_close_to_exact_distribution_at_eta2():
 # oracles shared one walk generator.  40,000 replications span two full
 # _ORACLE_BATCH batches and a partial one.
 def test_oracle_xi_infinity_stream_golden():
-    emp = oracle_xi_infinity(2.0, default_horizon(2.0), 40_000, seed=91)
+    emp = oracle_xi_infinity(2.0, 40_000, seed=91)
     digest = hashlib.sha256(repr(sorted(emp.items())).encode()).hexdigest()
     assert digest == "bb0634ebebef20bbde3a74d4bf3c1c172dd4a93f43be0e130242ed8972e3780b"
 
