@@ -395,8 +395,7 @@ def cmd_simulate(args) -> int:
     cells = _config_cells(_parse_config_file(args.input), args.seed, args)
     reports = []
     for cell in cells:
-        theoretical = exactdist.build_pmf(cell.eta)
-        report = montecarlo.run_study(cell, theoretical)
+        report = montecarlo.run_study(cell)
         reports.append(report)
         for m in cell.modes:
             line = (

@@ -28,9 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, DomainError, UnreachableLevelError
-from .exactdist import Pmf, symmetric_interval
-from .model import ChangeModel, Dataset, MultivariateOrigin, UnivariateOrigin
-from .numerics import left_sum
+from .exactdist import Pmf, check_level, folded_mass, symmetric_interval
+from .model import Dataset, MultivariateOrigin, UnivariateOrigin
 
 __all__ = [
     "MleResult",
@@ -48,8 +47,8 @@ __all__ = [
 class MleResult:
     tau_hat: int
     walk_trace: np.ndarray  # length n-1; profile mode: nan at inadmissible t
-    # known mode: the given model; profile mode: the fitted origin record (pooled_estimates)
-    params_used: ChangeModel | UnivariateOrigin | MultivariateOrigin
+    # known mode: the given origin record; profile mode: the fitted one (pooled_estimates)
+    params_used: UnivariateOrigin | MultivariateOrigin
     mode: str  # "known" | "profile"
 
 
@@ -89,11 +88,11 @@ def known_walk(series: np.ndarray, origin: UnivariateOrigin | MultivariateOrigin
     return np.cumsum(loglik_ratio_terms(series, origin), axis=-1)[..., :-1]
 
 
-def mle_known(data: Dataset, model: ChangeModel) -> MleResult:
+def mle_known(data: Dataset, origin: UnivariateOrigin | MultivariateOrigin) -> MleResult:
     """Known-parameter MLE: smallest argmax of the likelihood-ratio walk."""
-    walk = known_walk(data.series, model.origin)
+    walk = known_walk(data.series, origin)
     tau_hat = int(np.argmax(walk)) + 1
-    return MleResult(tau_hat=tau_hat, walk_trace=walk, params_used=model, mode="known")
+    return MleResult(tau_hat=tau_hat, walk_trace=walk, params_used=origin, mode="known")
 
 
 def split_scatters(series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -215,10 +214,7 @@ def check_cobb_delta(delta: int) -> None:
 
 
 def cobb_conditional(
-    data: Dataset,
-    tau_hat: int,
-    delta: int,
-    params: ChangeModel | UnivariateOrigin | MultivariateOrigin,
+    data: Dataset, tau_hat: int, delta: int, origin: UnivariateOrigin | MultivariateOrigin
 ) -> ConditionalPmf:
     """Conditional split distribution on the window tau_hat +- delta.
 
@@ -232,7 +228,7 @@ def cobb_conditional(
             f"window tau_hat +- delta = [{tau_hat - delta}, {tau_hat + delta}] "
             f"exceeds the admissible splits [1, {n - 1}]"
         )
-    walk = known_walk(data.series, params.origin if isinstance(params, ChangeModel) else params)
+    walk = known_walk(data.series, origin)
     return ConditionalPmf(delta=delta, probs=cobb_window(walk, tau_hat, delta))
 
 
@@ -278,19 +274,16 @@ def confidence_interval(
     with the clipping flagged.  A conditional distribution yields the
     smallest highest-mass set of window offsets reaching the level.
     """
-    if not (0.0 < level < 1.0):
-        raise DomainError(f"level must be in (0, 1), got {level!r}")
+    check_level(level)
     if not (1 <= tau_hat <= n - 1):
         raise DomainError(f"tau_hat must be in [1, n-1], got tau_hat={tau_hat}, n={n}")
     if isinstance(dist, Pmf):
         m = symmetric_interval(dist, level)
-        tail = left_sum(dist.probs_half[1 : m + 1].tolist())
-        achieved = dist.prob(0) + 2.0 * tail
         lo, hi = tau_hat - m, tau_hat + m
         clipped = lo < 1 or hi > n - 1
         lo, hi = max(1, lo), min(n - 1, hi)
         return IndexInterval(
-            lo=lo, hi=hi, level=level, achieved=float(achieved), clipped=clipped,
+            lo=lo, hi=hi, level=level, achieved=folded_mass(dist, m), clipped=clipped,
             halfwidth=m, calendar=_calendar(lo, hi, time_origin),
         )
     # conditional: greedy highest-mass set, deterministic tie order
@@ -325,15 +318,10 @@ def _calendar(lo: int, hi: int, origin: int | None) -> tuple[int, int] | None:
 
 # --- serialization -------------------------------------------------------
 
-def _params_json(params: ChangeModel | UnivariateOrigin | MultivariateOrigin) -> dict:
-    # key order eta, mu1, mu2, sigma: the estimate report is written unsorted
-    out = {"eta": params.eta} if isinstance(params, ChangeModel) else {}
-    origin = params.origin if isinstance(params, ChangeModel) else params
-    vector = isinstance(origin, MultivariateOrigin)
-    for key in ("mu1", "mu2", "sigma"):
-        x = getattr(origin, key)
-        out[key] = np.asarray(x, dtype=float).tolist() if vector else x
-    return out
+def _params_json(origin: UnivariateOrigin | MultivariateOrigin) -> dict:
+    # key order mu1, mu2, sigma: the estimate report is written unsorted; a
+    # scalar float field goes through .tolist() unchanged
+    return {k: np.asarray(getattr(origin, k), float).tolist() for k in ("mu1", "mu2", "sigma")}
 
 
 def finite_list(a: np.ndarray) -> list:

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, PrecisionError, UnreachableLevelError
-from .numerics import log_b_tilde, std_normal_survival
+from .numerics import check_eta, log_b_tilde, std_normal_survival
 
 __all__ = [
     "LadderTables",
@@ -86,6 +86,12 @@ def _check_eta_tol(eta: float, tol: float) -> None:
         )
     if not (0.0 < tol <= 1e-6):
         raise ConfigurationError(f"tol must be in (0, 1e-6], got {tol!r}")
+
+
+def check_level(level: float) -> None:
+    """Refuse a coverage level outside the open unit interval."""
+    if not (0.0 < level < 1.0):
+        raise DomainError(f"level must be in (0, 1), got {level!r}")
 
 
 @dataclass(frozen=True)
@@ -205,11 +211,13 @@ class Pmf:
     """
 
     eta: float
-    support_halfwidth: int
     probs_half: np.ndarray
     tail_mass_bound: float
     no_ladder: float
-    tol: float
+
+    @property
+    def support_halfwidth(self) -> int:
+        return len(self.probs_half) - 1
 
     def prob(self, k: int) -> float:
         """Mass at integer offset k (0 outside the stored support)."""
@@ -245,8 +253,8 @@ def build_pmf(eta: float, tol: float = 1e-10, level: float | None = None) -> Pmf
     unreached within K gives the full build, trim and bound included.
     """
     _check_eta_tol(eta, tol)
-    if level is not None and not (0.0 < level < 1.0):
-        raise DomainError(f"level must be in (0, 1), got {level!r}")
+    if level is not None:
+        check_level(level)
     r = np.exp(-eta * eta / 8.0)
     # The discarded terms sum to at most g0 r^(kmax+1) / (1-r); this kmax
     # makes r^kmax <= tol (1-r) / 2, so that bound is below g0 r tol / 2 < tol.
@@ -258,14 +266,14 @@ def build_pmf(eta: float, tol: float = 1e-10, level: float | None = None) -> Pmf
     kmax = max(8, int(np.ceil(size)))
     g0, half, m = _ladder_masses(eta, min(kmax, _KMAX_CAP), min(tol, _SERIES_TOL), level)
     if m is not None:
-        return _cut_pmf(eta, tol, r, g0, half, m)
+        return _cut_pmf(eta, r, g0, half, m)
     if kmax > _KMAX_CAP:
         raise PrecisionError(too_long)
     K = kmax
     # trim trailing entries that no longer contribute at the requested tol
     while K > 1 and half[K] <= 0.0:
         K -= 1
-    return _cut_pmf(eta, tol, r, g0, half, K)
+    return _cut_pmf(eta, r, g0, half, K)
 
 
 # First block of the ladder recursion; later blocks grow by 1/8.
@@ -313,14 +321,11 @@ def _fold_to_level(half: np.ndarray, acc: float, lo: int, hi: int, level: float)
     return acc, None
 
 
-def _cut_pmf(eta: float, tol: float, r: float, g0: float, half: np.ndarray, K: int) -> Pmf:
+def _cut_pmf(eta: float, r: float, g0: float, half: np.ndarray, K: int) -> Pmf:
     half = half[: K + 1].copy()
     half.setflags(write=False)
-    return Pmf(
-        eta=eta, support_halfwidth=K, probs_half=half,
-        tail_mass_bound=float(g0 * r ** (K + 1) / (1.0 - r)),
-        no_ladder=g0, tol=tol,
-    )
+    tail = float(g0 * r ** (K + 1) / (1.0 - r))
+    return Pmf(eta=eta, probs_half=half, tail_mass_bound=tail, no_ladder=g0)
 
 
 def cdf(pmf: Pmf, k: int) -> float:
@@ -346,8 +351,7 @@ def cdf(pmf: Pmf, k: int) -> float:
 
 def symmetric_interval(pmf: Pmf, level: float) -> int:
     """Smallest halfwidth m with sum_{|k| <= m} P(xi = k) >= level."""
-    if not (0.0 < level < 1.0):
-        raise DomainError(f"level must be in (0, 1), got {level!r}")
+    check_level(level)
     acc = float(pmf.probs_half[0])
     if acc >= level:
         return 0
@@ -358,6 +362,11 @@ def symmetric_interval(pmf: Pmf, level: float) -> int:
         f"level {level} unreachable: accumulated {acc:.12f} with tail bound "
         f"{pmf.tail_mass_bound:.3e}"
     )
+
+
+def folded_mass(pmf: Pmf, m: int) -> float:
+    """P(|xi| <= m) folded as ``symmetric_interval`` folds it, so at its m never below the level."""
+    return _fold_to_level(pmf.probs_half, float(pmf.probs_half[0]), 1, m + 1, np.inf)[0]
 
 
 def suggested_kmax(eta: float) -> int:
@@ -412,8 +421,7 @@ def tv_bound(eta: float, n: int, tau: int) -> float:
     """
     if not (1 <= tau <= n - 1):
         raise DomainError(f"tau must be in [1, n-1], got tau={tau}, n={n}")
-    if not np.isfinite(eta) or eta <= 0:
-        raise DomainError(f"eta must be positive, got {eta!r}")
+    check_eta(eta)
     val = 4.0 * max(np.exp(-eta * eta * tau / 8.0), np.exp(-eta * eta * (n - tau) / 8.0))
     return float(min(1.0, val))
 

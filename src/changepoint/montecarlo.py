@@ -41,10 +41,9 @@ import numpy as np
 
 from .errors import ConfigurationError, DegenerateDataError
 from .estimators import cobb_window, default_cobb_delta, known_walk, profile_criterion
-from .exactdist import Pmf
 from .model import Dataset, MultivariateOrigin, UnivariateOrigin
-from .numerics import left_sum
-from . import errors as _errors
+from .numerics import check_eta, left_sum
+from . import errors as _errors, exactdist
 
 __all__ = [
     "SimConfig",
@@ -292,19 +291,17 @@ def _worker_count(replications: int) -> int:
     return 1 if replications < 20_000 else workers
 
 
-def run_study(config: SimConfig, theoretical: Pmf) -> SimulationReport:
+def run_study(config: SimConfig) -> SimulationReport:
     """Run every replication of a cell and compare against the exact law.
 
     Each requested mode re-estimates the change-point per replication;
     offsets tau_hat - tau are tallied, then total variation distance to
-    ``theoretical``, bias, and mean squared error are computed from the
-    tallies.  Replication failures (degenerate splits) are counted and
-    reported; the run aborts only if they exceed 0.1% of replications.
+    the law ``exactdist.build_pmf(config.eta)`` (built first, so a too
+    small eta is refused before any replication), bias, and mean squared
+    error are computed from the tallies.  Replication failures (degenerate
+    splits) are counted; the run aborts only if they exceed 0.1% of them.
     """
-    if abs(theoretical.eta - config.eta) > 1e-12:
-        raise ConfigurationError(
-            f"theoretical pmf was built for eta={theoretical.eta}, cell has eta={config.eta}"
-        )
+    theo = exactdist.build_pmf(config.eta).as_mapping()
     R = config.replications
     starts = list(range(0, R, _CHUNK_REPS))
     stops = starts[1:] + [R]
@@ -328,7 +325,6 @@ def run_study(config: SimConfig, theoretical: Pmf) -> SimulationReport:
             )
 
     offsets = np.arange(1, config.n) - config.tau
-    theo = theoretical.as_mapping()
     empirical: dict[str, dict[int, float]] = {}
     tv: dict[str, float] = {}
     bias: dict[str, float] = {}
@@ -355,6 +351,7 @@ def run_study(config: SimConfig, theoretical: Pmf) -> SimulationReport:
 
 def default_horizon(eta: float) -> int:
     """Smallest horizon h with 4 exp(-eta^2 h / 8) below 1e-6."""
+    check_eta(eta)
     return int(np.ceil(8.0 * np.log(4.0 / 1e-6) / (eta * eta)))
 
 
@@ -409,6 +406,7 @@ class LadderOracleResult:
 
 def ladder_oracle(eta: float, nmax: int, replications: int, seed: int) -> LadderOracleResult:
     """Estimate q_k = P(T- > k) and q~_k = E[e^{-S_k} 1{T- > k}] for k <= nmax."""
+    check_eta(eta)
     if nmax < 1:
         raise ConfigurationError(f"nmax must be >= 1, got {nmax}")
     sum_q = np.zeros(nmax)

@@ -73,11 +73,16 @@ def log_b_tilde(n, eta: float):
     narr = np.asarray(n)
     if not np.all(np.isfinite(narr)) or np.any(narr != np.floor(narr)) or np.any(narr < 1):
         raise DomainError(f"n must be a positive integer, got {n!r}")
-    if not np.isfinite(eta) or eta <= 0:
-        raise DomainError(f"eta must be a positive finite real, got {eta!r}")
+    check_eta(eta)
     nf = narr.astype(float)
     out = nf * eta * eta + log_std_normal_survival(1.5 * eta * np.sqrt(nf))
     return float(out) if np.isscalar(n) else out
+
+
+def check_eta(eta: float) -> None:
+    """Refuse a change size that is not a positive finite real."""
+    if not np.isfinite(eta) or eta <= 0:
+        raise DomainError(f"eta must be a positive finite real, got {eta!r}")
 
 
 def left_sum(values, start: float = 0.0) -> float:

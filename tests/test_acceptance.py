@@ -80,7 +80,7 @@ def known_cells():
     for eta, seed in SEEDS["known"].items():
         cfg = SimConfig(n=100, tau=50, eta=eta, replications=KNOWN_REPS,
                         master_seed=seed, modes=("known",))
-        out[eta] = run_study(cfg, build_pmf(eta))
+        out[eta] = run_study(cfg)
     return out
 
 
@@ -229,7 +229,7 @@ def test_criterion_6_known_cells(known_cells):
 def estimated_cell():
     cfg = SimConfig(n=40, tau=20, eta=1.0, replications=KNOWN_REPS,
                     master_seed=SEEDS["estimated"], modes=("profile",))
-    return run_study(cfg, build_pmf(1.0))
+    return run_study(cfg)
 
 
 def test_criterion_6_estimated_cell(estimated_cell):
@@ -248,7 +248,7 @@ def test_extra_estimated_cell_midsample():
     # (reference distance 0.0176; gate covers it plus MC allowance)
     cfg = SimConfig(n=100, tau=50, eta=1.5, replications=KNOWN_REPS,
                     master_seed=8_111, modes=("profile",))
-    tv = run_study(cfg, build_pmf(1.5)).tv["profile"]
+    tv = run_study(cfg).tv["profile"]
     _line("6+ (estimated midsample)", tv <= 0.025, f"TV={tv:.4f} (gate 0.025)")
     assert tv <= 0.025
 
@@ -300,7 +300,7 @@ def test_criterion_8_robustness_student_t():
     cfg = SimConfig(n=100, tau=50, eta=2.5, replications=50_000,
                     master_seed=SEEDS["robustness"], family="student_t", nu=5.0,
                     modes=("known",))
-    report = run_study(cfg, build_pmf(2.5))
+    report = run_study(cfg)
     tv = report.tv["known"]
     _line("8", tv <= 0.05, f"t5 noise at eta=2.5: TV={tv:.4f} (gate 0.05, 50k reps)")
     assert tv <= 0.05
@@ -315,7 +315,7 @@ def test_criterion_9_cobb_mass_comparison():
     # by the argmax and is reported alongside for context.)
     cfg = SimConfig(n=100, tau=50, eta=1.0, replications=50_000,
                     master_seed=SEEDS["cobb"], modes=("cobb",), cobb_delta=15)
-    report = run_study(cfg, build_pmf(1.0))
+    report = run_study(cfg)
     at_true = report.empirical["cobb"].get(0, 0.0) / cfg.replications
     at_estimate = report.cobb_mass_at_center
     uncond = build_pmf(1.0).prob(0)

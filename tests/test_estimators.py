@@ -24,7 +24,6 @@ from changepoint.estimators import (
 )
 from changepoint.exactdist import build_pmf
 from changepoint.model import (
-    ChangeModel,
     Dataset,
     MultivariateOrigin,
     UnivariateOrigin,
@@ -32,8 +31,8 @@ from changepoint.model import (
 )
 
 
-def _uni_model(mu1=0.0, mu2=1.0, sigma=1.0):
-    return standardized_change_univariate(mu1, mu2, sigma)
+def _uni_origin(mu1=0.0, mu2=1.0, sigma=1.0):
+    return standardized_change_univariate(mu1, mu2, sigma).origin
 
 
 # --- known-parameter MLE ----------------------------------------------------
@@ -41,7 +40,7 @@ def _uni_model(mu1=0.0, mu2=1.0, sigma=1.0):
 def test_known_separated_means_recovers_tau():
     for tau in (3, 10, 17):
         y = np.concatenate([np.full(tau, -10.0), np.full(20 - tau, 10.0)])
-        fit = mle_known(Dataset(y), _uni_model(-10.0, 10.0, 1.0))
+        fit = mle_known(Dataset(y), _uni_origin(-10.0, 10.0, 1.0))
         assert fit.tau_hat == tau
         assert fit.mode == "known"
         assert fit.walk_trace[fit.tau_hat - 1] == fit.walk_trace.max()
@@ -53,9 +52,9 @@ def test_known_constant_data_drifts_to_an_edge():
     # descending ramp)
     y = np.zeros(12)
     # a(y) = (mu1-mu2)(2y - mu1 - mu2)/2 = (-1)(0-1)/2 = +1/2 > 0: rising ramp
-    rising = mle_known(Dataset(y), _uni_model(0.0, 1.0, 1.0))
+    rising = mle_known(Dataset(y), _uni_origin(0.0, 1.0, 1.0))
     assert rising.tau_hat == 11
-    falling = mle_known(Dataset(y), _uni_model(1.0, 0.0, 1.0))
+    falling = mle_known(Dataset(y), _uni_origin(1.0, 0.0, 1.0))
     assert falling.tau_hat == 1
 
 
@@ -63,7 +62,7 @@ def test_known_tie_resolves_to_smallest_index():
     # mu1 = -1, mu2 = 1, sigma = 1: a(y) = -2y, so y = -+1/2 alternating
     # makes the walk 1, 0, 1, 0, ...: ties at every odd split
     y = np.array([-0.5, 0.5] * 4)
-    fit = mle_known(Dataset(y), _uni_model(-1.0, 1.0, 1.0))
+    fit = mle_known(Dataset(y), _uni_origin(-1.0, 1.0, 1.0))
     assert fit.tau_hat == 1
 
 
@@ -95,9 +94,9 @@ def test_known_reversal_duality(case):
     # reversing time and swapping mu1 / mu2 maps the walk's argmax t to n - t
     seed, n, tau, mu1, mu2, sigma = case
     y = _step_series(*case)
-    fwd = mle_known(Dataset(y), _uni_model(mu1, mu2, sigma))
+    fwd = mle_known(Dataset(y), _uni_origin(mu1, mu2, sigma))
     assume(_top_two_gap(fwd.walk_trace) > 1e-9 * max(1.0, float(np.abs(fwd.walk_trace).max())))
-    rev = mle_known(Dataset(y[::-1].copy()), _uni_model(mu2, mu1, sigma))
+    rev = mle_known(Dataset(y[::-1].copy()), _uni_origin(mu2, mu1, sigma))
     assert rev.tau_hat == n - fwd.tau_hat
 
 
@@ -110,9 +109,9 @@ def test_known_scaling_invariance(case, c):
     # scaling data, means and sigma by c leaves every walk step unchanged
     seed, n, tau, mu1, mu2, sigma = case
     y = _step_series(*case)
-    base = mle_known(Dataset(y), _uni_model(mu1, mu2, sigma))
+    base = mle_known(Dataset(y), _uni_origin(mu1, mu2, sigma))
     assume(_top_two_gap(base.walk_trace) > 1e-9 * max(1.0, float(np.abs(base.walk_trace).max())))
-    scaled = mle_known(Dataset(c * y), _uni_model(c * mu1, c * mu2, c * sigma))
+    scaled = mle_known(Dataset(c * y), _uni_origin(c * mu1, c * mu2, c * sigma))
     assert scaled.tau_hat == base.tau_hat
     assert np.allclose(scaled.walk_trace, base.walk_trace, rtol=1e-12)
 
@@ -121,18 +120,16 @@ def test_known_multivariate_matches_first_coordinate_reduction():
     rng = np.random.default_rng(3)
     y = rng.standard_normal((25, 2))
     y[12:, 0] += 2.0
-    model = ChangeModel(
-        2.0, MultivariateOrigin(np.zeros(2), np.array([2.0, 0.0]), np.eye(2))
-    )
-    fit = mle_known(Dataset(y), model)
-    uni = mle_known(Dataset(y[:, 0].copy()), _uni_model(0.0, 2.0, 1.0))
+    origin = MultivariateOrigin(np.zeros(2), np.array([2.0, 0.0]), np.eye(2))
+    fit = mle_known(Dataset(y), origin)
+    uni = mle_known(Dataset(y[:, 0].copy()), _uni_origin(0.0, 2.0, 1.0))
     assert fit.tau_hat == uni.tau_hat
     assert np.allclose(fit.walk_trace, uni.walk_trace, atol=1e-10)
 
 
 def test_known_dimension_mismatch():
     with pytest.raises(DomainError):
-        mle_known(Dataset(np.ones((6, 2))), _uni_model())
+        mle_known(Dataset(np.ones((6, 2))), _uni_origin())
 
 
 # --- profile MLE -----------------------------------------------------------
@@ -265,14 +262,14 @@ def test_cobb_normalization_and_bounds():
     rng = np.random.default_rng(4)
     y = rng.standard_normal(50)
     y[25:] += 1.0
-    model = _uni_model(0.0, 1.0, 1.0)
-    cond = cobb_conditional(Dataset(y), 25, 10, model)
+    origin = _uni_origin(0.0, 1.0, 1.0)
+    cond = cobb_conditional(Dataset(y), 25, 10, origin)
     assert cond.probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert cond.delta == 10
     with pytest.raises(DomainError):
-        cobb_conditional(Dataset(y), 5, 10, model)
+        cobb_conditional(Dataset(y), 5, 10, origin)
     with pytest.raises(DomainError):
-        cobb_conditional(Dataset(y), 25, 0, model)
+        cobb_conditional(Dataset(y), 25, 0, origin)
 
 
 def test_cobb_tied_likelihoods_are_uniform():
@@ -281,7 +278,7 @@ def test_cobb_tied_likelihoods_are_uniform():
     y = np.full(12, 0.5)
     y[:3] = -2.0
     y[9:] = 3.0
-    cond = cobb_conditional(Dataset(y), 6, 1, _uni_model(0.0, 1.0, 1.0))
+    cond = cobb_conditional(Dataset(y), 6, 1, _uni_origin(0.0, 1.0, 1.0))
     assert np.allclose(cond.probs, 1.0 / 3.0, atol=1e-12)
 
 
@@ -289,8 +286,8 @@ def test_cobb_time_origin_irrelevant():
     rng = np.random.default_rng(9)
     y = rng.standard_normal(30)
     y[15:] += 1.0
-    a = cobb_conditional(Dataset(y, time_origin=1900), 15, 5, _uni_model())
-    b = cobb_conditional(Dataset(y, time_origin=2020), 15, 5, _uni_model())
+    a = cobb_conditional(Dataset(y, time_origin=1900), 15, 5, _uni_origin())
+    b = cobb_conditional(Dataset(y, time_origin=2020), 15, 5, _uni_origin())
     assert np.array_equal(a.probs, b.probs)
 
 
@@ -325,14 +322,22 @@ def test_interval_paper_calendar_case():
 @pytest.mark.parametrize("eta", [0.3554, 1.0, 1.52, 2.831])
 @pytest.mark.parametrize("level", [0.5, 0.9, 0.956, 0.99])
 def test_interval_achieved_is_a_left_to_right_fold(eta, level):
-    # the same bits on every Python: sum() of floats compensates from 3.12
+    # the fold that picks m: half[0], then + 2 half[k] one k at a time
     pmf = build_pmf(eta)
     for lvl in (level, pmf.prob(0) * 0.5):  # the second gives m = 0
         iv = confidence_interval(pmf, lvl, tau_hat=500, n=1000)
-        tail = 0.0
+        acc = float(pmf.probs_half[0])
         for k in range(1, iv.halfwidth + 1):
-            tail += float(pmf.probs_half[k])
-        assert iv.achieved == pmf.prob(0) + 2.0 * tail
+            acc += 2.0 * float(pmf.probs_half[k])
+        assert iv.achieved == acc
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(eta=st.floats(0.2, 4.0), level=st.floats(0.01, 0.999))
+@example(eta=0.2043478260869565, level=0.5094094351518783)
+def test_interval_achieved_reaches_the_level(eta, level):
+    iv = confidence_interval(build_pmf(eta, level=level), level, tau_hat=500, n=1000)
+    assert iv.achieved >= level
 
 
 def test_interval_level_below_atom_is_single_index():
@@ -387,6 +392,19 @@ def test_mle_json_round_trip_fields():
     assert len(obj["criterion"]) == 19
     assert obj["criterion"][0] is None  # trimmed split serializes as null
     assert "mu1" in obj["params"]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_known_mode_params_are_the_origin_record(d):
+    y = np.zeros((10, d))
+    y[5:, 0] = 1.0
+    if d == 1:
+        origin = _uni_origin(0.0, 1.0, 1.0)
+    else:
+        origin = MultivariateOrigin(np.zeros(d), np.eye(d)[0], np.eye(d))
+    obj = json.loads(json.dumps(mle_result_to_json(mle_known(Dataset(y), origin))))
+    assert obj["mode"] == "known" and obj["tau_hat"] == 5
+    assert list(obj["params"]) == ["mu1", "mu2", "sigma"]
 
 
 # nan, +-inf, signed zeros, subnormals and the largest finite value

@@ -1,5 +1,6 @@
 """Ladder tables, the offset distribution, variance, and the TV bound."""
 
+import dataclasses
 import json
 import math
 
@@ -167,10 +168,18 @@ def test_symmetric_interval_cases():
         symmetric_interval(pmf, 1.2)
 
 
+def test_pmf_halfwidth_is_read_off_the_masses():
+    # K has one source, the stored masses
+    assert [f.name for f in dataclasses.fields(Pmf)] == [
+        "eta", "probs_half", "tail_mass_bound", "no_ladder"
+    ]
+    for pmf in (build_pmf(1.0), build_pmf(1.0, level=0.9)):
+        assert pmf.support_halfwidth == len(pmf.probs_half) - 1
+
+
 def test_symmetric_interval_unreachable_level():
     half = np.array([0.4, 0.1])
-    pmf = Pmf(eta=1.0, support_halfwidth=1, probs_half=half, tail_mass_bound=0.4,
-              no_ladder=math.sqrt(0.4), tol=1e-10)
+    pmf = Pmf(eta=1.0, probs_half=half, tail_mass_bound=0.4, no_ladder=math.sqrt(0.4))
     with pytest.raises(UnreachableLevelError):
         symmetric_interval(pmf, 0.9)
 
@@ -280,7 +289,7 @@ def _check_prefix(eta, level, full=None):
     assert pre.probs_half.tobytes() == full.probs_half[: m + 1].tobytes()
     r = np.exp(-eta * eta / 8.0)
     assert pre.tail_mass_bound == float(pre.no_ladder * r ** (m + 1) / (1.0 - r))
-    assert (pre.eta, pre.no_ladder, pre.tol) == (full.eta, full.no_ladder, full.tol)
+    assert (pre.eta, pre.no_ladder) == (full.eta, full.no_ladder)
     return pre, full
 
 

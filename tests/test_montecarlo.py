@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
+import changepoint.exactdist as exactdist
 import changepoint.montecarlo as mc
-from changepoint.errors import ChangePointError, ConfigurationError, DegenerateDataError
+from changepoint.errors import ChangePointError, ConfigurationError, DegenerateDataError, DomainError
 from changepoint.estimators import cobb_window, default_cobb_delta, known_walk, profile_criterion
 from changepoint.exactdist import build_ladder_tables, build_pmf
 from changepoint.montecarlo import (
@@ -154,7 +155,7 @@ def test_tv_distance_is_a_plain_left_fold():
 def test_single_replication_degenerate_tv(monkeypatch):
     monkeypatch.setenv("CHANGEPOINT_THREADS", "1")
     pmf = build_pmf(2.0)
-    rep = run_study(_cfg(eta=2.0, replications=1, master_seed=3, modes=("known",)), pmf)
+    rep = run_study(_cfg(eta=2.0, replications=1, master_seed=3, modes=("known",)))
     (observed,) = rep.empirical["known"]
     theo = pmf.as_mapping()
     expected = 0.5 * (1.0 - theo.get(observed, 0.0)) + 0.5 * (
@@ -167,9 +168,8 @@ def test_study_reproducible_and_mode_shapes(monkeypatch):
     monkeypatch.setenv("CHANGEPOINT_THREADS", "1")
     cfg = _cfg(eta=2.0, replications=2000, master_seed=31,
                modes=("known", "profile", "cobb"), cobb_delta=8)
-    pmf = build_pmf(2.0)
-    r1 = run_study(cfg, pmf)
-    r2 = run_study(cfg, pmf)
+    r1 = run_study(cfg)
+    r2 = run_study(cfg)
     text = json.dumps(report_to_json(r1), sort_keys=True)
     assert text == json.dumps(report_to_json(r2), sort_keys=True)
     for m in cfg.modes:
@@ -182,11 +182,10 @@ def test_study_reproducible_and_mode_shapes(monkeypatch):
 
 def test_study_parallel_matches_serial(monkeypatch):
     cfg = _cfg(eta=1.5, replications=24_000, master_seed=5, modes=("known", "cobb"))
-    pmf = build_pmf(1.5)
     monkeypatch.setenv("CHANGEPOINT_THREADS", "1")
-    serial = run_study(cfg, pmf)
+    serial = run_study(cfg)
     monkeypatch.setenv("CHANGEPOINT_THREADS", "2")
-    parallel = run_study(cfg, pmf)
+    parallel = run_study(cfg)
     assert serial.empirical["known"] == parallel.empirical["known"]
     assert serial.empirical["cobb"] == parallel.empirical["cobb"]
     assert json.dumps(report_to_json(serial), sort_keys=True) == json.dumps(
@@ -194,9 +193,30 @@ def test_study_parallel_matches_serial(monkeypatch):
     )
 
 
-def test_study_eta_mismatch_rejected():
-    with pytest.raises(ConfigurationError):
-        run_study(_cfg(eta=1.5), build_pmf(2.0))
+def test_study_builds_its_law_once_through_the_module(monkeypatch):
+    # looked up on the exactdist module, where the perfbench tracer wraps it
+    monkeypatch.setenv("CHANGEPOINT_THREADS", "1")
+    calls = []
+    real = exactdist.build_pmf
+
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(exactdist, "build_pmf", counting)
+    rep = run_study(_cfg(eta=2.0, replications=10))
+    assert calls == [((2.0,), {})]
+    freq = {k: v / 10 for k, v in rep.empirical["known"].items()}
+    assert rep.tv["known"] == tv_distance(freq, real(2.0).as_mapping())
+
+
+def test_study_refuses_a_small_eta_before_any_replication(monkeypatch):
+    def no_run(*args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(mc, "_accumulate_range", no_run)
+    with pytest.raises(ConfigurationError, match=r"^eta must be >= 0\.05 \(got 0\.04\)"):
+        run_study(_cfg(eta=0.04))
 
 
 def test_study_failure_budget(monkeypatch):
@@ -207,7 +227,7 @@ def test_study_failure_budget(monkeypatch):
 
     monkeypatch.setattr(mc, "profile_criterion", always_fails)
     with pytest.raises(DegenerateDataError, match="> 0.1%"):
-        run_study(_cfg(modes=("profile",), replications=50), build_pmf(1.5))
+        run_study(_cfg(modes=("profile",), replications=50))
 
 
 def _reference_range(config, start, stop):
@@ -260,8 +280,7 @@ def test_block_engine_matches_per_replication_reference(monkeypatch, family, nu,
 def test_one_failing_replication_in_a_block_is_one_failure(monkeypatch):
     monkeypatch.setenv("CHANGEPOINT_THREADS", "1")
     cfg = _cfg(modes=("profile",), replications=1000)
-    pmf = build_pmf(cfg.eta)
-    clean = run_study(cfg, pmf)
+    clean = run_study(cfg)
     bad = generate_sequence(cfg, 37).series
     real = mc.profile_criterion
 
@@ -271,7 +290,7 @@ def test_one_failing_replication_in_a_block_is_one_failure(monkeypatch):
         return real(series)
 
     monkeypatch.setattr(mc, "profile_criterion", fails_on_rep_37)
-    rep = run_study(cfg, pmf)  # one failure in 1000 is within the 0.1% budget
+    rep = run_study(cfg)  # one failure in 1000 is within the 0.1% budget
     assert rep.failures == {"profile": 1}
     lost = int(np.nanargmax(real(bad))) + 1 - cfg.tau
     want = dict(clean.empirical["profile"])
@@ -281,7 +300,7 @@ def test_one_failing_replication_in_a_block_is_one_failure(monkeypatch):
 
 def test_report_csv_format(tmp_path, monkeypatch):
     monkeypatch.setenv("CHANGEPOINT_THREADS", "1")
-    rep = run_study(_cfg(eta=2.5, replications=200, modes=("known",)), build_pmf(2.5))
+    rep = run_study(_cfg(eta=2.5, replications=200, modes=("known",)))
     path = tmp_path / "cell.csv"
     report_to_csv(rep, path)
     lines = path.read_text().strip().splitlines()
@@ -311,11 +330,10 @@ def test_mse_truncation_effect(monkeypatch):
     # shorter samples truncate the offset support harder, so the empirical
     # spread cannot exceed the longer sample's
     monkeypatch.setenv("CHANGEPOINT_THREADS", "0")
-    pmf = build_pmf(1.0)
     small = run_study(SimConfig(n=40, tau=20, eta=1.0, replications=100_000,
-                                master_seed=2024, modes=("known",)), pmf)
+                                master_seed=2024, modes=("known",)))
     large = run_study(SimConfig(n=100, tau=50, eta=1.0, replications=100_000,
-                                master_seed=2024, modes=("known",)), pmf)
+                                master_seed=2024, modes=("known",)))
     assert small.mse["known"] <= large.mse["known"]
 
 
@@ -326,6 +344,22 @@ def test_default_horizon_bound():
         h = default_horizon(eta)
         assert 4.0 * np.exp(-eta * eta * h / 8.0) < 1e-6
         assert 4.0 * np.exp(-eta * eta * (h - 1) / 8.0) >= 1e-6
+
+
+@pytest.mark.parametrize("eta", [0.0, -1.0, math.nan, math.inf])
+def test_oracles_refuse_a_bad_eta(eta, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a walk was drawn")
+
+    monkeypatch.setattr(mc, "_walk_batches", no_draw)
+    message = f"^eta must be a positive finite real, got {eta!r}$"
+    for call in (
+        lambda: default_horizon(eta),
+        lambda: oracle_xi_infinity(eta, 10, seed=1),
+        lambda: ladder_oracle(eta, 3, 10, seed=1),
+    ):
+        with pytest.raises(DomainError, match=message):
+            call()
 
 
 def test_oracle_atom_and_symmetry():
