@@ -274,7 +274,7 @@ def cmd_analyze(args) -> int:
     where = _calendar_label(tau_hat, data.time_origin)
     print(f"tau_hat = {tau_hat}{where}, standardized change eta_hat = {eta_hat:.4f}")
 
-    pmf = exactdist.build_pmf(eta_hat, tol=args.tol)
+    pmf = exactdist.build_pmf(eta_hat, tol=args.tol, level=args.level)
     unconditional = estimators.confidence_interval(
         pmf, args.level, tau_hat, data.n, data.time_origin
     )
@@ -302,7 +302,7 @@ def cmd_analyze(args) -> int:
     report["eta_hat"] = eta_hat
     report["distribution"] = {
         "eta": eta_hat,
-        "K": pmf.support_halfwidth,
+        "K": exactdist.support_halfwidth_for(eta_hat, args.tol),
         "prob0": pmf.prob(0),
         "variance": exactdist.variance_for(eta_hat),
     }
@@ -393,6 +393,9 @@ def _config_cells(raw: dict[str, list[str]], seed: int, args):
 
 def cmd_simulate(args) -> int:
     cells = _config_cells(_parse_config_file(args.input), args.seed, args)
+    for cell in cells:
+        # refuse the grid before any cell runs if a cell's law cannot be built
+        exactdist.full_support_halfwidth(cell.eta)
     reports = []
     for cell in cells:
         report = montecarlo.run_study(cell)

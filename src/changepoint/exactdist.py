@@ -31,15 +31,11 @@ which the test suite pins.  Interval and variance queries use the raw
 (unnormalized) masses; the Monte Carlo oracle in ``montecarlo``
 quantifies the gap to the true law.
 
-Since q_m needs only q_<m, an interval at level L needs the recursion only
-out to the halfwidth m that reaches L: ``build_pmf(eta, level=L)`` runs it
-in growing blocks and stops there, returning the first m + 1 masses of
-the full build bit for bit, with ``tail_mass_bound`` the certified bound
-g0 r^(m+1) / (1 - r) on everything past m.  The full law and the prefix
-come from one masses builder (``_ladder_masses``) over the one
-implementation of the recursion (``_ladder_recursion``, which
-``build_ladder_tables`` also runs), and the prefix stops by the same
-fold (``_fold_to_level``) that ``symmetric_interval`` uses.
+The support halfwidth K has one rule, ``support_halfwidth_for``.  As q_m
+needs only q_<m, ``build_pmf(eta, level=L)`` stops the one recursion
+(``_ladder_recursion``) at the halfwidth m that reaches L, by the fold
+``symmetric_interval`` uses (``_fold_to_level``), keeping the full law's
+first m + 1 masses bit for bit.
 """
 
 from __future__ import annotations
@@ -56,6 +52,8 @@ __all__ = [
     "Pmf",
     "build_ladder_tables",
     "build_pmf",
+    "support_halfwidth_for",
+    "full_support_halfwidth",
     "cdf",
     "symmetric_interval",
     "variance_for",
@@ -71,14 +69,14 @@ __all__ = [
 ETA_GUARD = 0.05
 
 _KMAX_CAP = 100_000
+_TOO_LONG = "support for eta={} at tol={} exceeds the {} cap"
 
 # Certified tolerance of the variance series and of the no-ladder mass.
 _SERIES_TOL = 1e-12
 
 
 def _check_eta_tol(eta: float, tol: float) -> None:
-    if not np.isfinite(eta):
-        raise ConfigurationError(f"eta must be finite, got {eta!r}")
+    check_eta(eta)
     if eta < ETA_GUARD:
         raise ConfigurationError(
             f"eta must be >= {ETA_GUARD} (got {eta!r}); smaller changes make the "
@@ -232,48 +230,49 @@ class Pmf:
         return {k: float(self.probs_half[abs(k)]) for k in range(-K, K + 1)}
 
 
-def build_pmf(eta: float, tol: float = 1e-10, level: float | None = None) -> Pmf:
-    """Point masses of the limiting centered estimator.
+def support_halfwidth_for(eta: float, tol: float = 1e-10) -> int:
+    """Support halfwidth K of ``build_pmf(eta, tol)``, which may exceed the cap.
 
-    The support halfwidth K is the first index past which the certified
-    series tail, via q_k <= exp(-eta^2 k / 8) / 2, is below ``tol``; the
-    accumulated mass is then >= 1 - tol.  ``tail_mass_bound`` records
-    that certified bound on the discarded terms, g0 r^(K+1) / (1-r) with
-    g0 = 1 - ||G+|| and r = exp(-eta^2 / 8).
-
-    With a ``level`` in (0, 1), the ladder recursion runs only until the
-    masses reach it: the support is cut at the smallest halfwidth m with
-    P(|xi| <= m) >= level, folded as ``symmetric_interval`` folds it, and
-    ``tail_mass_bound`` is the same certified bound taken at K = m.  The
-    kept masses are bit-identical to the full build's, so every interval
-    query at that level gives the same answer, at the cost of the
-    O(m^2) prefix instead of the O(K^2) support.  A K beyond the tables'
-    cap is then no refusal: the cap bounds m instead, and a level still
-    unreached at the cap is refused with the same message.  A level
-    unreached within K gives the full build, trim and bound included.
+    K >= 8 is the first index past which the certified tail, via
+    q_k <= exp(-eta^2 k / 8) / 2, is below ``tol``; for eta >= 27.46 the
+    masses underflow to exact 0.0 before K.
     """
     _check_eta_tol(eta, tol)
-    if level is not None:
-        check_level(level)
     r = np.exp(-eta * eta / 8.0)
-    # The discarded terms sum to at most g0 r^(kmax+1) / (1-r); this kmax
-    # makes r^kmax <= tol (1-r) / 2, so that bound is below g0 r tol / 2 < tol.
+    # The discarded terms sum to at most g0 r^(K+1) / (1-r); this K makes
+    # r^K <= tol (1-r) / 2, so that bound is below g0 r tol / 2 < tol.
     with np.errstate(divide="ignore", over="ignore"):  # tiny tol underflows to inf
         size = 8.0 / (eta * eta) * np.log(2.0 / (tol * (1.0 - r)))
-    too_long = f"support for eta={eta} at tol={tol} exceeds the {_KMAX_CAP} cap"
-    if not np.isfinite(size) or (size > _KMAX_CAP and level is None):
-        raise PrecisionError(too_long)
-    kmax = max(8, int(np.ceil(size)))
-    g0, half, m = _ladder_masses(eta, min(kmax, _KMAX_CAP), min(tol, _SERIES_TOL), level)
-    if m is not None:
-        return _cut_pmf(eta, r, g0, half, m)
-    if kmax > _KMAX_CAP:
-        raise PrecisionError(too_long)
-    K = kmax
-    # trim trailing entries that no longer contribute at the requested tol
-    while K > 1 and half[K] <= 0.0:
-        K -= 1
-    return _cut_pmf(eta, r, g0, half, K)
+    if not np.isfinite(size):
+        raise PrecisionError(_TOO_LONG.format(eta, tol, _KMAX_CAP))
+    return max(8, int(np.ceil(size)))
+
+
+def full_support_halfwidth(eta: float, tol: float = 1e-10) -> int:
+    """K of the full law, refused past the cap before ``build_pmf(eta, tol)`` would build it."""
+    K = support_halfwidth_for(eta, tol)
+    if K > _KMAX_CAP:
+        raise PrecisionError(_TOO_LONG.format(eta, tol, _KMAX_CAP))
+    return K
+
+
+def build_pmf(eta: float, tol: float = 1e-10, level: float | None = None) -> Pmf:
+    """Point masses of the limiting centered estimator over [-K, K].
+
+    K is ``support_halfwidth_for(eta, tol)``, and ``tail_mass_bound`` the
+    certified bound g0 r^(K+1) / (1-r) on the masses past it, with
+    g0 = 1 - ||G+|| and r = exp(-eta^2 / 8).  With a ``level`` in (0, 1),
+    K is instead the smallest m with P(|xi| <= m) >= level, folded as
+    ``symmetric_interval`` folds it: O(m^2) work for the same masses and
+    interval, and a K past the cap bounds m instead of being refused.  A
+    level unreached within min(K, cap) gives the full build or its refusal.
+    """
+    K = full_support_halfwidth(eta, tol) if level is None else support_halfwidth_for(eta, tol)
+    if level is not None:
+        check_level(level)
+    g0, half, m = _ladder_masses(eta, min(K, _KMAX_CAP), min(tol, _SERIES_TOL), level)
+    # m None: no level, or one unreached within min(K, cap), so the full law
+    return _cut_pmf(eta, g0, half, full_support_halfwidth(eta, tol) if m is None else m)
 
 
 # First block of the ladder recursion; later blocks grow by 1/8.
@@ -309,21 +308,22 @@ def _ladder_masses(eta: float, N: int, tol: float, level: float | None):
 
 
 def _fold_to_level(half: np.ndarray, acc: float, lo: int, hi: int, level: float):
-    """Resume ``acc = half[0] + 2 half[1] + ...`` over m in [lo, hi), lo >= 1.
+    """Resume ``acc = half[0] + 2 half[1] + ...`` over m in [lo, hi).
 
     Returns (acc, m) at the first m where acc reaches ``level``, else
     (acc, None) with acc summed through hi - 1.
     """
     for m in range(lo, hi):
-        acc += 2.0 * float(half[m])
+        acc += (2.0 if m else 1.0) * float(half[m])
         if acc >= level:
             return acc, m
     return acc, None
 
 
-def _cut_pmf(eta: float, r: float, g0: float, half: np.ndarray, K: int) -> Pmf:
+def _cut_pmf(eta: float, g0: float, half: np.ndarray, K: int) -> Pmf:
     half = half[: K + 1].copy()
     half.setflags(write=False)
+    r = np.exp(-eta * eta / 8.0)
     tail = float(g0 * r ** (K + 1) / (1.0 - r))
     return Pmf(eta=eta, probs_half=half, tail_mass_bound=tail, no_ladder=g0)
 
@@ -352,10 +352,7 @@ def cdf(pmf: Pmf, k: int) -> float:
 def symmetric_interval(pmf: Pmf, level: float) -> int:
     """Smallest halfwidth m with sum_{|k| <= m} P(xi = k) >= level."""
     check_level(level)
-    acc = float(pmf.probs_half[0])
-    if acc >= level:
-        return 0
-    acc, m = _fold_to_level(pmf.probs_half, acc, 1, pmf.support_halfwidth + 1, level)
+    acc, m = _fold_to_level(pmf.probs_half, 0.0, 0, pmf.support_halfwidth + 1, level)
     if m is not None:
         return m
     raise UnreachableLevelError(
@@ -366,7 +363,7 @@ def symmetric_interval(pmf: Pmf, level: float) -> int:
 
 def folded_mass(pmf: Pmf, m: int) -> float:
     """P(|xi| <= m) folded as ``symmetric_interval`` folds it, so at its m never below the level."""
-    return _fold_to_level(pmf.probs_half, float(pmf.probs_half[0]), 1, m + 1, np.inf)[0]
+    return _fold_to_level(pmf.probs_half, 0.0, 0, m + 1, np.inf)[0]
 
 
 def suggested_kmax(eta: float) -> int:

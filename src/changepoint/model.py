@@ -190,9 +190,10 @@ def read_dataset_csv(path) -> Dataset:
 
     A leading column whose header is `time` (any case) supplies the
     calendar origin: its first value becomes ``time_origin`` and the
-    column is dropped from the series.  Values must be plain decimal
-    numbers with '.' as the decimal point.  The file is UTF-8 text; a
-    byte-order mark, as spreadsheet programs write, is dropped.
+    column is dropped from the series.  Values must be finite plain
+    decimal numbers with '.' as the decimal point; a bad one is refused
+    at its file line.  The file is UTF-8 text; a byte-order mark, as
+    spreadsheet programs write, is dropped.
     """
     with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -201,7 +202,7 @@ def read_dataset_csv(path) -> Dataset:
         except StopIteration:
             raise DomainError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
-        rows = []
+        rows, lines = [], []
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
@@ -211,6 +212,7 @@ def read_dataset_csv(path) -> Dataset:
                 rows.append([float(c) for c in row])
             except ValueError as exc:
                 raise DomainError(f"{path}:{lineno}: {exc}") from exc
+            lines.append(lineno)
     if not rows:
         raise DomainError(f"{path}: no data rows")
     arr = np.asarray(rows, dtype=float)
@@ -224,4 +226,7 @@ def read_dataset_csv(path) -> Dataset:
         time_origin = int(tcol[0])
         arr = arr[:, 1:]
         header = header[1:]
+    if not np.isfinite(arr).all():
+        i, j = np.argwhere(~np.isfinite(arr))[0]
+        raise DomainError(f"{path}:{lines[i]}: non-finite value at row {i + 1}, column {j + 1}")
     return Dataset(arr, tuple(header), time_origin)

@@ -89,8 +89,7 @@ class SimConfig:
             raise ConfigurationError(f"tau must be in [1, n-1], got tau={self.tau}, n={self.n}")
         if self.n < 4:
             raise ConfigurationError(f"n must be >= 4, got {self.n}")
-        if not (np.isfinite(self.eta) and self.eta > 0):
-            raise ConfigurationError(f"eta must be positive, got {self.eta!r}")
+        check_eta(self.eta)
         if self.d < 1:
             raise ConfigurationError(f"d must be >= 1, got {self.d}")
         if self.family not in _FAMILIES:

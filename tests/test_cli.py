@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: pipelines, artifacts, exit codes."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from changepoint import exactdist, montecarlo
+from changepoint import exactdist, model, montecarlo
 from changepoint.cli import main
 from changepoint.exactdist import read_pmf_csv
 
@@ -94,8 +95,16 @@ def test_dist_non_finite_eta_exits_2(tmp_path, capsys, eta):
     rc = main(["dist", "--eta", eta, "--out", str(tmp_path / "p.csv")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: eta must be finite, got {eta}")
-    assert "Traceback" not in err
+    assert err == f"error: eta must be a positive finite real, got {eta}\n"
+
+
+@pytest.mark.parametrize("eta", ["-1", "0"])
+def test_dist_non_positive_eta_exits_2(tmp_path, capsys, eta):
+    rc = main(["dist", "--eta", eta, "--out", str(tmp_path / "p.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: eta must be a positive finite real, got {float(eta)!r}\n"
+    )
 
 
 # sha256 of the artifacts as produced by commit a6dea25, before the single
@@ -365,6 +374,59 @@ def test_analyze_null_data_mostly_insignificant(tmp_path):
         assert rc == 0
         insignificant += not json.loads(out.read_text())["significant"]
     assert insignificant >= 90
+
+
+def test_analyze_answers_below_the_full_support_cap(tmp_path, monkeypatch):
+    # the full law at eta_hat = 0.0502 exceeds the tables' cap; analyze, like
+    # ci, builds the law only to the level's halfwidth and gives ci's interval
+    rng = np.random.default_rng(5)
+    y = rng.standard_normal(400) + np.repeat([0.0, 3.0], 200)
+    path = tmp_path / "shift.csv"
+    path.write_text("y\n" + "".join(f"{v:.10f}\n" for v in y), encoding="utf-8")
+    real = model.standardized_change_univariate
+    monkeypatch.setattr(
+        model, "standardized_change_univariate",
+        lambda *args: dataclasses.replace(real(*args), eta=0.0502),
+    )
+    out = tmp_path / "report.json"
+    assert main(["analyze", "--in", str(path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["eta_hat"] == 0.0502
+    assert report["distribution"]["K"] == exactdist.support_halfwidth_for(0.0502)
+    assert report["distribution"]["K"] > exactdist._KMAX_CAP
+    tau_hat = report["estimation"]["tau_hat"]
+    ci_out = tmp_path / "ci.json"
+    argv = ["ci", "--eta", "0.0502", "--level", "0.95", "--tau", str(tau_hat), "--n", "400"]
+    assert main(argv + ["--out", str(ci_out)]) == 0
+    unconditional = report["intervals"]["unconditional"]
+    assert unconditional == json.loads(ci_out.read_text())
+    assert (unconditional["lo"], unconditional["hi"], unconditional["clipped"]) == (1, 399, True)
+
+
+def test_analyze_builds_the_law_once_at_its_level(creek_csv, tmp_path, monkeypatch):
+    calls = []
+    real = exactdist.build_pmf
+
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(exactdist, "build_pmf", counting)
+    out = tmp_path / "report.json"
+    assert main(["analyze", "--in", str(creek_csv), "--level", "0.965", "--out", str(out)]) == 0
+    eta_hat = json.loads(out.read_text())["eta_hat"]
+    assert calls == [((eta_hat,), {"tol": 1e-10, "level": 0.965})]
+
+
+def test_non_finite_csv_cell_is_refused_at_its_line(tmp_path, capsys):
+    # a skipped blank line puts data row 4 on file line 6
+    path = tmp_path / "nan.csv"
+    path.write_text("time,y\n1950,1\n1951,2\n\n1952,3\n1953,nan\n1954,5\n", encoding="utf-8")
+    for command in ("detect", "estimate", "analyze"):
+        assert main([command, "--in", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}:6: non-finite value at row 4, column 1\n"
+        )
 
 
 def test_analyze_parse_error_exits_2(tmp_path, capsys):
@@ -695,20 +757,31 @@ def test_simulate_guards(tmp_path, capsys):
     assert rc == 2
 
 
-def test_simulate_refuses_a_small_eta_cell_after_the_cells_before_it(tmp_path, capsys, monkeypatch):
-    # each cell builds its own law as it runs, so the eta guard stops the
-    # grid at the second cell, after the first has printed, and no report is written
-    monkeypatch.setenv("CHANGEPOINT_THREADS", "1")
-    conf = _sim_config(tmp_path, "n = 40\ntau = 20\neta = 1.5, 0.04\nreps = 50\n")
+def _assert_grid_refused_before_any_cell(tmp_path, capsys, etas, message):
+    conf = _sim_config(tmp_path, f"n = 40\ntau = 20\neta = {etas}\nreps = 50\n")
     out = tmp_path / "s.json"
     assert main(["simulate", "--in", str(conf), "--seed", "3", "--out", str(out)]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "n=40 tau=20 eta=1.5 gaussian mode=known: TV=0.0953 bias=+0.0600 mse=2.0600\n"
-    assert captured.err == (
-        "error: eta must be >= 0.05 (got 0.04); smaller changes make the ladder series "
-        "impractically long\n"
-    )
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["study.conf"]
+
+
+def test_simulate_refuses_a_small_eta_cell_before_any_cell_runs(tmp_path, capsys):
+    # every cell's law is checked before the first cell runs, so the eta
+    # guard stops the grid with nothing printed and no report written
+    _assert_grid_refused_before_any_cell(
+        tmp_path, capsys, "1.5, 0.04",
+        "eta must be >= 0.05 (got 0.04); smaller changes make the ladder series "
+        "impractically long",
+    )
+
+
+def test_simulate_refuses_a_cell_past_the_cap_before_any_cell_runs(tmp_path, capsys):
+    # 0.0502 passes the guard, but run_study's full law exceeds the tables' cap
+    _assert_grid_refused_before_any_cell(
+        tmp_path, capsys, "1.5, 0.0502",
+        "support for eta=0.0502 at tol=1e-10 exceeds the 100000 cap",
+    )
 
 
 def test_simulate_refuses_profile_without_admissible_split(tmp_path, capsys, monkeypatch):

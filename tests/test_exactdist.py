@@ -21,9 +21,11 @@ from changepoint.exactdist import (
     build_ladder_tables,
     build_pmf,
     cdf,
+    full_support_halfwidth,
     pmf_to_json,
     read_pmf_csv,
     suggested_kmax,
+    support_halfwidth_for,
     symmetric_interval,
     tv_bound,
     variance_for,
@@ -121,11 +123,49 @@ def test_mass_concentrates_for_large_change():
     assert build_pmf(10.0).prob(0) > 0.999
 
 
-def test_trailing_masses_that_underflow_are_trimmed():
-    # kmax is 8 at eta = 40, but the masses underflow to 0 past k = 3
+_SUPPORT_TOLS = [1e-6, 1e-8, 1e-10, 1e-12, 1e-14]
+
+
+@settings(max_examples=40, deadline=None)
+@given(eta=st.floats(0.3, 60.0), tol=st.sampled_from(_SUPPORT_TOLS))
+@example(eta=0.1122, tol=1e-10)
+@example(eta=0.3, tol=1e-10)
+def test_support_halfwidth_is_the_analytic_index(eta, tol):
+    K = support_halfwidth_for(eta, tol)
+    assert build_pmf(eta, tol).support_halfwidth == K
+    assert K >= 8
+
+
+def test_support_halfwidth_at_fixed_etas():
+    assert support_halfwidth_for(0.1122) == 19_176
+    assert support_halfwidth_for(0.3) == 2_508
+
+
+def test_large_eta_tail_masses_are_exact_zeros():
+    # K is 8 at eta = 40; the masses underflow to exact 0.0 past k = 3, and
+    # the first four keep the bits they had when the support was trimmed to 3
     pmf = build_pmf(40.0)
-    assert pmf.support_halfwidth == 3
-    assert pmf.probs_half[3] > 0.0
+    assert pmf.support_halfwidth == 8
+    head = [float.fromhex(h) for h in (
+        "0x1.0000000000000p+0", "0x1.c0bd0f18806a3p-295",
+        "0x1.c1997d4fcd1dfp-585", "0x1.53e2ca62a1ef7p-874",
+    )]
+    assert pmf.probs_half[:4].tobytes() == np.array(head).tobytes()
+    assert pmf.probs_half[4:].tobytes() == np.zeros(5).tobytes()
+    assert pmf.total_mass() == 1.0
+
+
+def test_full_support_past_the_cap_is_refused_before_any_build(monkeypatch):
+    def no_build(*args):
+        raise AssertionError("the ladder recursion ran")
+
+    monkeypatch.setattr(exactdist, "_ladder_masses", no_build)
+    assert support_halfwidth_for(0.0502) > exactdist._KMAX_CAP
+    message = "support for eta=0.0502 at tol=1e-10 exceeds the 100000 cap"
+    for call in (full_support_halfwidth, build_pmf):
+        with pytest.raises(PrecisionError) as exc:
+            call(0.0502)
+        assert str(exc.value) == message
 
 
 def test_confidence_level_partial_sums():

@@ -37,7 +37,7 @@ def _cfg(**kw):
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         _cfg(tau=60)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(DomainError, match=r"^eta must be a positive finite real, got -1\.0$"):
         _cfg(eta=-1.0)
     with pytest.raises(ConfigurationError):
         _cfg(family="student_t", nu=2.0)
