@@ -40,6 +40,8 @@ first m + 1 masses bit for bit.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,7 +229,15 @@ class Pmf:
 
     def as_mapping(self) -> dict[int, float]:
         K = self.support_halfwidth
-        return {k: float(self.probs_half[abs(k)]) for k in range(-K, K + 1)}
+        half = self.probs_half.tolist()
+        return dict(zip(range(-K, K + 1), half[:0:-1] + half))
+
+    @functools.cached_property
+    def _masses_text(self) -> list[str]:
+        # the K+1 distinct masses formatted once for both writers, mirrored to k = -K..K;
+        # "%.17g" % x gives the bytes of format(x, ".17g")
+        half = ((" %.17g" * len(self.probs_half)) % tuple(self.probs_half.tolist())).split()
+        return half[:0:-1] + half
 
 
 def support_halfwidth_for(eta: float, tol: float = 1e-10) -> int:
@@ -430,34 +440,35 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _fmt_masses(pmf: Pmf) -> list[str]:
-    # the K+1 distinct masses formatted once, mirrored to k = -K..K
-    half = [_fmt(x) for x in pmf.probs_half.tolist()]
-    return half[:0:-1] + half
-
-
 def write_pmf_csv(pmf: Pmf, path) -> None:
     """Write `k,prob` rows with k ascending, 17 significant digits."""
     K = pmf.support_halfwidth
-    rows = "".join(f"{k},{p}\n" for k, p in zip(range(-K, K + 1), _fmt_masses(pmf)))
+    cells = [None] * (4 * K + 2)
+    cells[::2] = range(-K, K + 1)
+    cells[1::2] = pmf._masses_text
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("k,prob\n" + rows)
+        fh.write("k,prob\n" + ("%d,%s\n" * (2 * K + 1)) % tuple(cells))
+
+
+_PMF_ROW = np.dtype([("k", np.int64), ("p", np.float64)])
 
 
 def read_pmf_csv(path) -> dict[int, float]:
-    """Read a `k,prob` file back into an offset -> mass mapping."""
-    out: dict[int, float] = {}
+    """Read a `k,prob` file back into an offset -> mass mapping, k in file order."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "k,prob":
             raise DomainError(f"expected header 'k,prob', got {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            kstr, pstr = line.split(",")
-            out[int(kstr)] = float(pstr)
-    return out
+        first = next((line for line in fh if line.strip()), None)
+        if first is None:  # loadtxt warns on a file with no rows
+            return {}
+        try:
+            rows = np.loadtxt(
+                itertools.chain((first,), fh), delimiter=",", comments=None, ndmin=1, dtype=_PMF_ROW
+            )
+        except ValueError as exc:
+            raise DomainError(f"{path}: {exc}") from None
+    return dict(zip(rows["k"].tolist(), rows["p"].tolist()))
 
 
 def pmf_to_json(pmf: Pmf) -> str:
@@ -467,7 +478,7 @@ def pmf_to_json(pmf: Pmf) -> str:
     trip.
     """
     K = pmf.support_halfwidth
-    probs = ", ".join(_fmt_masses(pmf))
+    probs = ", ".join(pmf._masses_text)
     return (
         f'{{"eta": {_fmt(pmf.eta)}, "K": {K}, '
         f'"tail_mass_bound": {_fmt(pmf.tail_mass_bound)}, "probs": [{probs}]}}'

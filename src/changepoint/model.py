@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,32 +191,19 @@ def read_dataset_csv(path) -> Dataset:
 
     A leading column whose header is `time` (any case) supplies the
     calendar origin: its first value becomes ``time_origin`` and the
-    column is dropped from the series.  Values must be finite plain
-    decimal numbers with '.' as the decimal point; a bad one is refused
-    at its file line.  The file is UTF-8 text; a byte-order mark, as
-    spreadsheet programs write, is dropped.
+    column is dropped from the series.  Values must be finite numbers
+    that Python's ``float()`` reads; a bad one is refused at its file
+    line.  The file is UTF-8 text; a byte-order mark, as spreadsheet
+    programs write, is dropped.  A plain file is parsed in one
+    vectorized pass; anything else goes through the row parser, which
+    defines what is accepted and words every refusal.
     """
     with open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DomainError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        rows, lines = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise DomainError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            try:
-                rows.append([float(c) for c in row])
-            except ValueError as exc:
-                raise DomainError(f"{path}:{lineno}: {exc}") from exc
-            lines.append(lineno)
-    if not rows:
-        raise DomainError(f"{path}: no data rows")
-    arr = np.asarray(rows, dtype=float)
+        parsed = _read_plain(fh, path)
+        if parsed is None:
+            fh.seek(0)
+            parsed = _read_rows(fh, path)
+    header, arr, lines = parsed
     time_origin = None
     if header and header[0].lower() == "time":
         tcol = arr[:, 0]
@@ -230,3 +218,79 @@ def read_dataset_csv(path) -> Dataset:
         i, j = np.argwhere(~np.isfinite(arr))[0]
         raise DomainError(f"{path}:{lines[i]}: non-finite value at row {i + 1}, column {j + 1}")
     return Dataset(arr, tuple(header), time_origin)
+
+
+def _read_rows(fh, path):
+    """The reference parser: header labels, the n x d values and each row's file line.
+
+    Rows that are empty or all blank are skipped; a row of the wrong width
+    or with a cell ``float()`` refuses is refused at its file line.
+    """
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DomainError(f"{path}: empty file") from None
+    header = [h.strip() for h in header]
+    rows, lines = [], []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(header):
+            raise DomainError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+        try:
+            rows.append([float(c) for c in row])
+        except ValueError as exc:
+            raise DomainError(f"{path}:{lineno}: {exc}") from exc
+        lines.append(lineno)
+    if not rows:
+        raise DomainError(f"{path}: no data rows")
+    return header, np.asarray(rows, dtype=float), lines
+
+
+# float() refuses a number padded with these ASCII separators; loadtxt strips them.
+_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _read_plain(fh, path):
+    """What ``_read_rows`` returns, from one ``np.loadtxt`` pass over the body, or
+    None where that pass might not agree with the row parser.
+
+    Only a body of finite values of the header's width, under a header line
+    without quotes, is taken; the row parser's line numbers are then not needed.
+    """
+    first = fh.readline()
+    if not first or '"' in first or _has_separator(path):
+        return None
+    header = [h.strip() for h in next(csv.reader([first]))]
+    lines = _bounded_lines(fh)
+    try:
+        # loadtxt skips empty lines but warns when it meets no other
+        head = next((line for line in lines if line.strip("\r\n")), None)
+        if head is None:
+            return None
+        arr = np.loadtxt(
+            itertools.chain((head,), lines), delimiter=",", comments=None, ndmin=2, dtype=float
+        )
+    except ValueError:
+        return None
+    if arr.shape[1] != len(header) or not np.isfinite(arr).all():
+        return None
+    return header, arr, None
+
+
+def _bounded_lines(fh):
+    # csv refuses a field past its size limit, so a line that long goes to the row parser
+    limit = csv.field_size_limit()
+    for line in fh:
+        if len(line) > limit:
+            raise ValueError(f"line longer than {limit} characters")
+        yield line
+
+
+def _has_separator(path) -> bool:
+    with open(path, "rb") as raw:
+        for chunk in iter(lambda: raw.read(1 << 20), b""):
+            if any(sep in chunk for sep in _SEPARATORS):
+                return True
+    return False

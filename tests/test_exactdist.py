@@ -473,6 +473,24 @@ def test_csv_round_trip_bit_exact(tmp_path):
     assert back == pmf.as_mapping()
 
 
+def test_pmf_mapping_and_read_back_run_k_ascending(tmp_path):
+    pmf = build_pmf(1.6)
+    path = tmp_path / "pmf.csv"
+    write_pmf_csv(pmf, path)
+    K = pmf.support_halfwidth
+    assert list(read_pmf_csv(path)) == list(pmf.as_mapping()) == list(range(-K, K + 1))
+
+
+def test_read_pmf_csv_refuses_a_bad_row_naming_the_file(tmp_path):
+    path = tmp_path / "pmf.csv"
+    for body in ("-1,0.25\n0,0.5\n1,oops\n", "0,0.5,1\n", "0.5\n"):
+        path.write_text("k,prob\n" + body)
+        with pytest.raises(DomainError, match=r"pmf\.csv: "):
+            read_pmf_csv(path)
+    path.write_text("k,prob\n\n")
+    assert read_pmf_csv(path) == {}
+
+
 def _fmt17(x) -> str:
     return format(float(x), ".17g")
 

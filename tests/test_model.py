@@ -1,9 +1,21 @@
 """Dataset handling and the standardized-change reduction."""
 
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from changepoint.errors import DegenerateChangeError, DomainError, FactorizationError
+from changepoint import model
+from changepoint.errors import (
+    ChangePointError,
+    DegenerateChangeError,
+    DomainError,
+    FactorizationError,
+)
 from changepoint.model import (
     Dataset,
     log_transform,
@@ -190,3 +202,124 @@ def test_csv_reader_errors_are_refusals(tmp_path):
     huge.write_text("a\n1\n" + "1" * 200_000 + "\n")
     with pytest.raises(DomainError, match=r"huge\.csv: field larger than field limit"):
         read_dataset_csv(huge)
+
+
+# --- the vectorized CSV read against the row parser ----------------------------
+
+# cells float() reads, cells it refuses, and cells loadtxt and float() disagree on
+_ODD_CELLS = st.sampled_from([
+    "1_000", "\u0661\u0662", "\u0663.5", "nan", " nan ", "inf", "-Infinity", "1e400", "4.9e-325",
+    '"1.5"', '"1,5"', '""', "", " ", "\t", "1.5 # c", "#", "# 1", "\x00", "1\x00", "\x1c1",
+    "1\x1f", "\xa01", " 1 ", "0x10", "1d3", "+1", "-0", "1e", "1 2", "\u20032.5",
+])
+_PLAIN_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e6, 1e6).map(lambda x: format(x, ".10g")),
+    st.integers(-10**20, 10**20).map(str),
+)
+
+
+@st.composite
+def _csv_bytes(draw):
+    """CSV bytes that are mostly plain, with rare odd cells, rows, headers and bytes."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 8))
+    timed = draw(st.booleans())
+    odd = draw(st.integers(0, 3))  # 0: a plain file; else odd items come 1 in 3 * odd + 1
+
+    def rarely():
+        return odd and draw(st.integers(0, 3 * odd)) == 0
+
+    def cell():
+        return draw(_ODD_CELLS) if rarely() else draw(_PLAIN_CELLS)
+
+    odd_labels = ['"y{}"', '"a,{}"', '"y{}', " c{} ", "y1"]
+    labels = [draw(st.sampled_from(odd_labels)).format(j + 1) if rarely() else f"y{j + 1}"
+              for j in range(d)]
+    header = ([draw(st.sampled_from(["time", "Time", '"time"']))] if timed else []) + labels
+
+    origin = draw(st.integers(-5, 3000))
+    every_row = draw(st.integers(3, 5)) if rarely() else 0  # a width off on every row
+    rows = []
+    for i in range(n):
+        row = ([str(origin + i)] if timed else []) + [cell() for _ in range(d)]
+        shape = draw(st.integers(1, 5)) if rarely() else every_row
+        if shape == 1:
+            rows.append("")
+        elif shape == 2:
+            rows.append(draw(st.sampled_from([" ", "\t", " , ", ","])))
+        elif shape == 3:
+            rows.append(",".join(row) + ",")
+        elif shape == 4:
+            rows.append(",".join(row + [cell()]))
+        elif shape == 5:
+            rows.append(",".join(row[:-1]))
+        else:
+            rows.append(",".join(row))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join([",".join(header)] + rows)
+    if draw(st.booleans()):
+        text += end
+    data = text.encode("utf-8")
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    if rarely():
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\x00", b"\xff", b"\r", b"\n", b'"'])) + data[at:]
+    return data
+
+
+def _outcome(path):
+    """Everything a caller sees of one read: the series bits and labels, or the refusal."""
+    try:
+        data = read_dataset_csv(path)
+    except ChangePointError as exc:
+        return type(exc).__name__, str(exc)
+    return data.series.view(np.uint64).tolist(), data.labels, data.time_origin
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@example(data=b"a\n1\n2\nnan\n4\n")
+@example(data=b"a,b\n1,2,3\n4,5,6\n7,8,9\n1,2,3\n")
+@example(data=b"a,b\n1,2\n3,4\n5,6\n7,8 # c\n")
+@example(data=b"a\n1\n2\n\x1c3\n4\n")
+@example(data=b'"a\n1\n2\n3\n4\n')
+@example(data=b"a\n\r\n\n")
+@example(data=b"a\n1\n2\n3\n0." + b"0" * 200_000 + b"1\n")
+@given(data=_csv_bytes())
+def test_vectorized_read_matches_row_parser(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.csv"
+        path.write_bytes(data)
+        got = _outcome(path)
+        # the reference: the same read with the vectorized pass off, so the row parser runs
+        with mock.patch.object(model, "_read_plain", lambda fh, path: None):
+            want = _outcome(path)
+    assert got == want
+
+
+def _benchmark_shaped(d):
+    """The benchmark's series layout: `.10g` values, and a `time` column when d = 1."""
+    x = np.random.default_rng(d).standard_normal((500, d)) * 3.0 + 7.0
+    cols = [f"y{j + 1}" for j in range(d)]
+    rows = [",".join(format(v, ".10g") for v in row) for row in x.tolist()]
+    if d == 1:
+        cols.insert(0, "time")
+        rows = [f"{1000 + r},{row}" for r, row in enumerate(rows)]
+    return ",".join(cols) + "\n" + "\n".join(rows) + "\n", x
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_plain_file_takes_the_vectorized_path(tmp_path, monkeypatch, d):
+    text, x = _benchmark_shaped(d)
+    path = tmp_path / "series.csv"
+    path.write_text(text)
+
+    def refuse(fh, path):
+        raise AssertionError("the row parser ran on a plain file")
+
+    monkeypatch.setattr(model, "_read_rows", refuse)
+    data = read_dataset_csv(path)
+    assert data.series.shape == (500, d)
+    assert data.series.tolist() == [[float(format(v, ".10g")) for v in row] for row in x.tolist()]
+    assert data.time_origin == (1000 if d == 1 else None)
