@@ -199,8 +199,10 @@ def read_dataset_csv(path) -> Dataset:
     defines what is accepted and words every refusal.
     """
     with open_text(path, newline="") as fh:
-        parsed = _read_plain(fh, path)
-        if parsed is None:
+        # the vectorized pass may stop partway and rewind, which a pipe cannot
+        if not fh.seekable():
+            parsed = _read_rows(fh, path)
+        elif (parsed := _read_plain(fh)) is None:
             fh.seek(0)
             parsed = _read_rows(fh, path)
     header, arr, lines = parsed
@@ -248,11 +250,7 @@ def _read_rows(fh, path):
     return header, np.asarray(rows, dtype=float), lines
 
 
-# float() refuses a number padded with these ASCII separators; loadtxt strips them.
-_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-
-
-def _read_plain(fh, path):
+def _read_plain(fh):
     """What ``_read_rows`` returns, from one ``np.loadtxt`` pass over the body, or
     None where that pass might not agree with the row parser.
 
@@ -260,10 +258,10 @@ def _read_plain(fh, path):
     without quotes, is taken; the row parser's line numbers are then not needed.
     """
     first = fh.readline()
-    if not first or '"' in first or _has_separator(path):
+    if not first or '"' in first:
         return None
     header = [h.strip() for h in next(csv.reader([first]))]
-    lines = _bounded_lines(fh)
+    lines = _checked_lines(fh)
     try:
         # loadtxt skips empty lines but warns when it meets no other
         head = next((line for line in lines if line.strip("\r\n")), None)
@@ -279,18 +277,18 @@ def _read_plain(fh, path):
     return header, arr, None
 
 
-def _bounded_lines(fh):
-    # csv refuses a field past its size limit, so a line that long goes to the row parser
+def _checked_lines(fh):
+    """The body's lines, stopping with ValueError at one the row parser may read otherwise."""
     limit = csv.field_size_limit()
     for line in fh:
-        if len(line) > limit:
-            raise ValueError(f"line longer than {limit} characters")
+        # csv refuses a field past its size limit; float() refuses a number padded
+        # with an ASCII separator 0x1c-0x1f, which loadtxt strips as whitespace
+        if (
+            len(line) > limit
+            or "\x1c" in line
+            or "\x1d" in line
+            or "\x1e" in line
+            or "\x1f" in line
+        ):
+            raise ValueError("a line the row parser must read")
         yield line
-
-
-def _has_separator(path) -> bool:
-    with open(path, "rb") as raw:
-        for chunk in iter(lambda: raw.read(1 << 20), b""):
-            if any(sep in chunk for sep in _SEPARATORS):
-                return True
-    return False

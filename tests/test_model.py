@@ -1,6 +1,8 @@
 """Dataset handling and the standardized-change reduction."""
 
+import os
 import tempfile
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -293,7 +295,7 @@ def test_vectorized_read_matches_row_parser(data):
         path.write_bytes(data)
         got = _outcome(path)
         # the reference: the same read with the vectorized pass off, so the row parser runs
-        with mock.patch.object(model, "_read_plain", lambda fh, path: None):
+        with mock.patch.object(model, "_read_plain", lambda fh: None):
             want = _outcome(path)
     assert got == want
 
@@ -323,3 +325,47 @@ def test_plain_file_takes_the_vectorized_path(tmp_path, monkeypatch, d):
     assert data.series.shape == (500, d)
     assert data.series.tolist() == [[float(format(v, ".10g")) for v in row] for row in x.tolist()]
     assert data.time_origin == (1000 if d == 1 else None)
+
+
+def _outcome_through_pipe(tmp_path, data):
+    """`_outcome` of `data` read from a named pipe, with the pipe's name put back as `in.csv`."""
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+    done = threading.Event()
+
+    def write():
+        fifo.write_bytes(data)
+        # a reader that opens the pipe a second time waits for a writer: give it an empty one
+        while not done.wait(0.05):
+            try:
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError:  # no reader is waiting
+                pass
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        got = _outcome(fifo)
+    finally:
+        done.set()
+        writer.join()
+    if isinstance(got[1], str):
+        got = got[0], got[1].replace(str(fifo), str(tmp_path / "in.csv"))
+    return got
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize(
+    "last", [b"3.141592653589793,2.718281828459045", b"nan,1", b"1,2,3", b'"1",2']
+)
+def test_pipe_input_reads_like_a_file(tmp_path, last):
+    # far past one read buffer, so a reader that rewinds or opens the path twice loses rows
+    body = b"".join(b"%d.123456789,%d.987654321\n" % (i, -i) for i in range(2000))
+    data = b"a,b\n" + body + last + b"\n"
+    (tmp_path / "in.csv").write_bytes(data)
+    want = _outcome(tmp_path / "in.csv")
+    assert _outcome_through_pipe(tmp_path, data) == want
+    if last in (b"nan,1", b"1,2,3"):
+        assert want[0] == "DomainError" and ":2002: " in want[1]
+    else:
+        assert len(want[0]) == 2001
