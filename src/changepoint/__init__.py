@@ -23,7 +23,6 @@ from .exactdist import (
     Pmf,
     build_ladder_tables,
     build_pmf,
-    cdf,
     symmetric_interval,
     tv_bound,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "Pmf",
     "build_ladder_tables",
     "build_pmf",
-    "cdf",
     "symmetric_interval",
     "tv_bound",
     "ChangeModel",

@@ -248,7 +248,9 @@ def cmd_analyze(args) -> int:
         "log_transform": bool(args.log_transform),
         "threshold": DETECTION_THRESHOLD,
     }
-    det = detect.mean_change_statistic(data)
+    # detection reads the fit's criterion: one criterion pass per series
+    fit = estimators.mle_profile(data)
+    det = detect.mean_change_from_criterion(fit.walk_trace, data.d)
     significant = det.p_value is not None and det.p_value < DETECTION_THRESHOLD
     report["detection"] = detect.detection_report_to_json(det)
     report["significant"] = significant
@@ -258,7 +260,6 @@ def cmd_analyze(args) -> int:
         _write_json(args.out, report)
         return 0
 
-    fit = estimators.mle_profile(data)
     tau_hat = fit.tau_hat
     params = fit.params_used
     if data.d == 1:

@@ -4,8 +4,10 @@ The mean-change statistic maximizes the determinant-ratio criterion
 
     U_n = max_t  n log(|Sigma_hat_n| / |Sigma_hat_t|)
 
-over the splits [d+1, n-d-1] with the profile MLE's kernel
-(``estimators.split_criterion``); the covariance-change statistic
+of the profile MLE: it reads ``estimators.profile_criterion`` over
+``estimators.admissible_splits`` [d+1, n-d-1].  A caller that holds the
+profile fit passes its criterion to ``mean_change_from_criterion``, so
+the criterion is evaluated once.  The covariance-change statistic
 compares segmentwise covariance estimates of residual deviations.
 Either max is normalized by the iterated-logarithm transform
 
@@ -25,13 +27,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, DomainError
-from .estimators import finite_list, segment_fit, split_criterion, split_scatters
+from .estimators import admissible_splits, finite_list, profile_criterion, segment_fit
+# unused here; kept importable because the benchmark tracer wraps ``detect.split_scatters``
+from .estimators import split_scatters  # noqa: F401
 from .model import Dataset
 
 __all__ = [
     "DetectionReport",
     "DiagnosticsReport",
     "mean_change_statistic",
+    "mean_change_from_criterion",
     "covariance_change_statistic",
     "darling_erdos_transform",
     "darling_erdos_inverse",
@@ -117,12 +122,20 @@ def mean_change_statistic(data: Dataset) -> DetectionReport:
     about the two segment means and Sigma_hat_n is the no-change
     estimate.  An exact fit (+inf) is refused as degenerate data.
     """
-    series = data.series
-    n, d = series.shape
-    if n < 2 * (d + 1):
-        raise DomainError(f"need n >= 2(d+1) = {2 * (d + 1)} rows, got {n}")
-    lo, hi = d + 1, n - d - 1
-    trace = split_criterion(*split_scatters(series), lo, hi)
+    return mean_change_from_criterion(profile_criterion(data.series), data.d)
+
+
+def mean_change_from_criterion(criterion: np.ndarray, d: int) -> DetectionReport:
+    """The mean-change report of a d-column series, read off its profile criterion.
+
+    ``criterion`` is ``estimators.profile_criterion`` of the series; the
+    report's trace is a copy of it with the splits outside
+    ``admissible_splits`` set to nan, which narrows it at d = 1 only.
+    """
+    n = criterion.shape[0] + 1
+    lo, hi = admissible_splits(n, d)
+    trace = np.full(n - 1, np.nan)
+    trace[lo - 1 : hi] = criterion[lo - 1 : hi]
     return _report("mean_change", trace, lo, hi, n, p=d)
 
 
@@ -138,9 +151,7 @@ def covariance_change_statistic(deviations: Dataset) -> DetectionReport:
     """
     series = deviations.series
     n, d = series.shape
-    lo, hi = d + 1, n - d - 1
-    if lo > hi:
-        raise DomainError(f"need n >= 2(d+1) = {2 * (d + 1)} rows, got {n}")
+    lo, hi = admissible_splits(n, d)
 
     full = series.T @ series / n
     sign_f, logdet_f = np.linalg.slogdet(full)

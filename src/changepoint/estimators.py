@@ -9,13 +9,14 @@ criterion becomes the determinant ratio
     n log(|Sigma_hat_n| / |Sigma_hat_t|)
 
 whose univariate case is n log(sigma_hat_n^2 / sigma_hat_t^2).  One
-kernel, ``split_criterion``, evaluates it on an explicit range of
-splits: [1, n-1] at d = 1 and [d+1, n-d-1] otherwise for the profile
-MLE, [d+1, n-d-1] for detection.  Ties are always resolved to the
-smallest index, so repeated runs are bit identical.
+kernel, ``profile_criterion``, evaluates it: over [1, n-1] at d = 1
+and over ``admissible_splits`` [d+1, n-d-1] otherwise.  Detection reads
+the same criterion over ``admissible_splits`` at every d.  Ties are
+always resolved to the smallest index, so repeated runs are bit
+identical.
 
 The walk and criterion kernels (``loglik_ratio_terms``, ``known_walk``,
-``split_scatters``, ``split_criterion``, ``profile_criterion``) and
+``split_scatters``, ``profile_criterion``) and
 ``cobb_window`` also take a stack of series, shape (..., n, d): each
 series in the stack gets exactly the bits a call on it alone would.
 """
@@ -118,17 +119,30 @@ def split_scatters(series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return left + right, scatter_n
 
 
-def split_criterion(scatter_t: np.ndarray, scatter_n: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Trace n log(|Sigma_hat_n| / |Sigma_hat_t|) over t = 1..n-1 from ``split_scatters``.
+def admissible_splits(n: int, d: int) -> tuple[int, int]:
+    """The splits [d+1, n-d-1], where each segment has more rows than columns.
 
-    Splits outside [lo, hi] are nan.  An exact fit, a segment scatter
-    that is singular, scores +inf: at d = 1 a zero scatter (rounding
-    below 0 gives nan), at d > 1 a determinant of sign <= 0, since
-    rounding leaves a singular scatter's sign at 0 or -1.  Raises if
-    Sigma_hat_n is singular or [lo, hi] is empty.
+    Raises if n < 2(d+1), which leaves none.
     """
-    n = scatter_t.shape[-3] + 1
-    d = scatter_n.shape[-1]
+    if n < 2 * (d + 1):
+        raise DomainError(f"need n >= 2(d+1) = {2 * (d + 1)} rows, got {n}")
+    return d + 1, n - d - 1
+
+
+def profile_criterion(series: np.ndarray) -> np.ndarray:
+    """Profile trace n log(|Sigma_hat_n| / |Sigma_hat_t|) over t = 1..n-1.
+
+    Admissible splits are [1, n-1] at d = 1 and ``admissible_splits``
+    otherwise (nan outside).  An exact fit, a segment scatter that is
+    singular, scores +inf: at d = 1 a zero scatter (rounding below 0
+    gives nan), at d > 1 a determinant of sign <= 0, since rounding
+    leaves a singular scatter's sign at 0 or -1.  Raises if, for any
+    series in the stack, the no-change covariance estimate is singular
+    or no split scores.
+    """
+    n, d = series.shape[-2:]
+    lo, hi = (1, n - 1) if d == 1 else admissible_splits(n, d)
+    scatter_t, scatter_n = split_scatters(series)
     with np.errstate(divide="ignore", invalid="ignore"):
         if d == 1:
             logdet_n = np.log(scatter_n[..., 0, 0] / n)
@@ -140,23 +154,8 @@ def split_criterion(scatter_t: np.ndarray, scatter_n: np.ndarray, lo: int, hi: i
             logdet_t = np.where(sign_t > 0, logdet_t, -np.inf)
     if not np.all(np.isfinite(logdet_n)):
         raise DegenerateDataError("no-change covariance estimate is singular")
-    if lo > hi:
-        raise DegenerateDataError(f"no admissible split for n={n}, d={d}")
     trace = np.full(scatter_t.shape[:-2], np.nan)
     trace[..., lo - 1 : hi] = n * (np.expand_dims(logdet_n, -1) - logdet_t)
-    return trace
-
-
-def profile_criterion(series: np.ndarray) -> np.ndarray:
-    """Profile trace n log(|Sigma_hat_n| / |Sigma_hat_t|) over t = 1..n-1.
-
-    Admissible splits are [1, n-1] at d = 1 and [d+1, n-d-1] otherwise
-    (nan outside).  Raises if, for any series in the stack, the
-    no-change covariance estimate is singular or no split scores.
-    """
-    n, d = series.shape[-2:]
-    lo, hi = (1, n - 1) if d == 1 else (d + 1, n - d - 1)
-    trace = split_criterion(*split_scatters(series), lo, hi)
     if not np.all(np.any(np.isfinite(trace) | np.isposinf(trace), axis=-1)):
         raise DegenerateDataError("segment covariance estimate degenerate at every split")
     return trace

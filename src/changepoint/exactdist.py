@@ -56,7 +56,6 @@ __all__ = [
     "build_pmf",
     "support_halfwidth_for",
     "full_support_halfwidth",
-    "cdf",
     "symmetric_interval",
     "variance_for",
     "suggested_kmax",
@@ -336,27 +335,6 @@ def _cut_pmf(eta: float, g0: float, half: np.ndarray, K: int) -> Pmf:
     r = np.exp(-eta * eta / 8.0)
     tail = float(g0 * r ** (K + 1) / (1.0 - r))
     return Pmf(eta=eta, probs_half=half, tail_mass_bound=tail, no_ladder=g0)
-
-
-def cdf(pmf: Pmf, k: int) -> float:
-    """P(xi <= k), clamped to [0, 1].
-
-    Below the stored support this returns 0.0 (the true mass out there is
-    within ``tail_mass_bound``); at or above the upper edge it returns at
-    least 1 - tail_mass_bound.
-    """
-    K = pmf.support_halfwidth
-    k = int(k)
-    if k < -K:
-        return 0.0
-    half = pmf.probs_half
-    if k >= K:
-        val = half[0] + 2.0 * half[1:].sum()
-    elif k < 0:
-        val = half[-k:].sum()
-    else:
-        val = half[1:].sum() + half[0] + half[1 : k + 1].sum()
-    return float(min(1.0, max(0.0, val)))
 
 
 def symmetric_interval(pmf: Pmf, level: float) -> int:

@@ -226,7 +226,8 @@ def _read_rows(fh, path):
     """The reference parser: header labels, the n x d values and each row's file line.
 
     Rows that are empty or all blank are skipped; a row of the wrong width
-    or with a cell ``float()`` refuses is refused at its file line.
+    or with a cell ``float()`` refuses is refused at its file line, the
+    line where the record ends when a quoted field spans lines.
     """
     reader = csv.reader(fh)
     try:
@@ -235,7 +236,8 @@ def _read_rows(fh, path):
         raise DomainError(f"{path}: empty file") from None
     header = [h.strip() for h in header]
     rows, lines = [], []
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
+        lineno = reader.line_num
         if not row or all(not c.strip() for c in row):
             continue
         if len(row) != len(header):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from changepoint import exactdist, model, montecarlo
+from changepoint import detect, estimators, exactdist, model, montecarlo
 from changepoint.cli import main
 from changepoint.exactdist import read_pmf_csv
 
@@ -257,6 +257,73 @@ def test_univariate_report_golden_bytes(creek_csv, tmp_path, monkeypatch, case):
     argv, sha = _UNIVARIATE_REPORT_SHA256[case]
     assert main(argv + ["--out", "report.json"]) == 0
     assert _sha256(tmp_path / "report.json") == sha
+
+
+def _edge_series() -> dict[str, np.ndarray]:
+    """Two 60-row series, +1.2 after row 30, with a 40 sigma outlier on the first or last row.
+
+    The outlier puts the profile fit at split 1 (or n - 1), which detection's
+    admissible splits [2, n - 2] leave out, so detection picks split 2 (or n - 2).
+    """
+    rng = np.random.default_rng(5)
+    first = rng.standard_normal(60)
+    first[30:] += 1.2
+    first[0] += 40.0
+    last = rng.standard_normal(60)
+    last[30:] += 1.2
+    last[59] -= 40.0
+    return {"first": first, "last": last}
+
+
+# sha256 of the reports on the edge series as produced by commit 36ea22a,
+# where detection evaluated the criterion itself over its own splits
+_EDGE_REPORT_SHA256 = {
+    ("first", "analyze"): "6c7d04103b203d3c4b9ad0ab9d37e7677c82865abec31267dd74f6b032320056",
+    ("first", "detect"): "e0d885dc108a3444e674d40c80fefe26d0221e3e87113ee08d6fbec6c3ad785e",
+    ("first", "estimate"): "89fd91bfdd6e9504dcb7502dd07bc51475e14889eb72a13a879931f3f44fb4e0",
+    ("last", "analyze"): "b69c352f1b35d3fa00a2b17234d9e40f0269928dd0a505f1714e1540991c281b",
+    ("last", "detect"): "ad47143695126a3148e5ebf3db68d55238884247c50f434751a9c0d16002f384",
+    ("last", "estimate"): "81df8f28fff31730ff1222b1aa6b04d0b344dd6b3f4178849aed033164d8e5d0",
+}
+
+
+@pytest.mark.parametrize("series, command", sorted(_EDGE_REPORT_SHA256))
+def test_edge_series_report_golden_bytes(tmp_path, monkeypatch, series, command):
+    monkeypatch.chdir(tmp_path)
+    y = _edge_series()[series]
+    Path(f"{series}.csv").write_text("y\n" + "".join(f"{v!r}\n" for v in y.tolist()))
+    assert main([command, "--in", f"{series}.csv", "--out", "report.json"]) == 0
+    assert _sha256(tmp_path / "report.json") == _EDGE_REPORT_SHA256[series, command]
+    if command == "analyze":
+        report = json.loads(Path("report.json").read_text())
+        fit, det = report["estimation"]["tau_hat"], report["detection"]["tau_hat"]
+        assert (fit, det) == ((1, 2) if series == "first" else (59, 58))
+
+
+@pytest.mark.parametrize("command", ["analyze", "detect", "estimate"])
+def test_each_command_evaluates_the_criterion_once(creek_csv, monkeypatch, command):
+    # the creek series is a significant d = 3 series, so analyze runs detection and the fit
+    counted = []
+    real = estimators.split_scatters
+
+    def counting(series):
+        counted.append(series.shape)
+        return real(series)
+
+    # detect imports the kernel by name, so a call through detect is counted too
+    monkeypatch.setattr(estimators, "split_scatters", counting)
+    monkeypatch.setattr(detect, "split_scatters", counting)
+    assert main([command, "--in", str(creek_csv)]) == 0
+    assert counted == [(40, 3)]
+
+
+def test_short_multivariate_series_is_refused_alike(tmp_path, capsys):
+    # 5 rows at d = 2 leave no split in [d+1, n-d-1]; every command refuses it the same way
+    path = tmp_path / "short.csv"
+    path.write_text("a,b\n1,2\n3,1\n2,5\n7,3\n4,4\n")
+    for command in ("detect", "estimate", "analyze"):
+        assert main([command, "--in", str(path)]) == 2
+        assert capsys.readouterr().err == "error: need n >= 2(d+1) = 6 rows, got 5\n"
 
 
 def test_simulate_grid_golden_bytes(tmp_path, monkeypatch):

@@ -206,6 +206,24 @@ def test_csv_reader_errors_are_refusals(tmp_path):
         read_dataset_csv(huge)
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ('a\n"1\n"\n2\nx\n4\n', ":5: could not convert string to float: 'x'"),
+        ('a,b\n"1\n",2\n3,4\n5,nan\n7,8\n', ":5: non-finite value at row 3, column 2"),
+        ('"a\nb",c\n1,2\n3,4\n5,x\n7,8\n', ":5: could not convert string to float: 'x'"),
+    ],
+    ids=["text_cell", "non_finite_cell", "two_line_header"],
+)
+def test_refusal_after_a_multi_line_record_names_its_file_line(tmp_path, text, where):
+    # a quoted field may span lines, so records and file lines part after it
+    path = tmp_path / "quoted.csv"
+    path.write_text(text)
+    with pytest.raises(DomainError) as info:
+        read_dataset_csv(path)
+    assert str(info.value) == f"{path}{where}"
+
+
 # --- the vectorized CSV read against the row parser ----------------------------
 
 # cells float() reads, cells it refuses, and cells loadtxt and float() disagree on
