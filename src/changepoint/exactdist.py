@@ -33,9 +33,19 @@ quantifies the gap to the true law.
 
 The support halfwidth K has one rule, ``support_halfwidth_for``.  As q_m
 needs only q_<m, ``build_pmf(eta, level=L)`` stops the one recursion
-(``_ladder_recursion``) at the halfwidth m that reaches L, by the fold
+(``_Ladder.fill``) at the halfwidth m that reaches L, by the fold
 ``symmetric_interval`` uses (``_fold_to_level``), keeping the full law's
 first m + 1 masses bit for bit.
+
+The recursion has two parts.  Below index 2048 each q_m is one dot
+product over q_<m.  From 2048 on, rows come in tiles of 128 on the fixed
+grid 2048 + 128 k: one matrix product per tile gives each row's sum over
+the entries below the tile, and a 128-row triangular system the rest.
+The first 2048 indices keep the bits of the per-index loop; past them the
+sums round in another order (within 2e-15 relative).  As the grid is
+fixed, q_m depends on (eta, m) alone, for one BLAS build and thread
+count, so level prefixes, full laws and ``build_ladder_tables`` agree
+bit for bit whatever index each one stops at.
 """
 
 from __future__ import annotations
@@ -131,33 +141,93 @@ def build_ladder_tables(eta: float, kmax: int, tol: float = _SERIES_TOL) -> Ladd
         raise PrecisionError(f"kmax {kmax} exceeds the cap {_KMAX_CAP}")
 
     b, bt = _b_series(eta, kmax)
-    rb, rbt, q, qt = _ladder_arrays(b, bt)
-    _ladder_recursion(rb, rbt, q, qt, 1, kmax + 1)
+    ladder = _Ladder(b, bt)
+    ladder.fill(1, kmax + 1)
     no_ladder, trunc = _no_ladder_mass(eta, tol)
     return LadderTables(
         eta=eta, kmax=kmax, tol=tol, b=b, b_tilde=bt,
-        q=q, q_tilde=qt, no_ladder=no_ladder, truncation_error=trunc,
+        q=ladder.q, q_tilde=ladder.q_tilde, no_ladder=no_ladder, truncation_error=trunc,
     )
 
 
-def _ladder_arrays(b: np.ndarray, bt: np.ndarray):
-    """Reversed b / b~ and q / q~ buffers (index 0 set to 1) for the recursion."""
-    # b[m:0:-1] == rb[N-m:N]: the same values in the same order, but
-    # contiguous, so np.dot hands them to BLAS without a per-call copy.
-    rb = b[::-1].copy()
-    rbt = bt[::-1].copy()
-    q = np.empty(b.shape[0])
-    qt = np.empty(b.shape[0])
-    q[0] = qt[0] = 1.0
-    return rb, rbt, q, qt
+# The recursion's tile grid, _TILE_START + _TILE k (module docstring).
+_TILE_START = 2048
+_TILE = 128
+_CHUNK = 32  # rows of the history product: _TILE_START is a multiple of it
 
 
-def _ladder_recursion(rb, rbt, q, qt, lo: int, hi: int) -> None:
-    """Fill q[m] and q~[m] for m in [lo, hi) from the entries below m."""
-    N = rb.shape[0] - 1
-    for m in range(lo, hi):
-        q[m] = np.dot(rb[N - m : N], q[:m]) / m
-        qt[m] = np.dot(rbt[N - m : N], qt[:m]) / m
+class _Ladder:
+    """q and q~ over [0, N] for b / b~ over [0, N], filled by ``fill``.
+
+    Past _TILE_START, a tile at t0 splits m q_m = sum_{j<m} b_{m-j} q_j
+    into the history j < t0 and the in-tile part.  With j = C a + c and
+    H[a, w] = b[1 + C a + w] (w < T + C - 1), the history of row t0 + r
+    is sum_c P[c, C - 1 - c + r], P = Y^T H' for Y = q[:t0] as rows of C
+    and H' the first t0 / C rows of H in reverse order: one matrix product
+    for both sequences.  The in-tile rows then solve (diag(m) - L) x = h,
+    L[r, u] = b[r - u] strictly lower triangular.
+    """
+
+    def __init__(self, b: np.ndarray, bt: np.ndarray):
+        # b[m:0:-1] == rb[N-m:N]: the same values in the same order, but
+        # contiguous, so np.dot hands them to BLAS without a per-call copy.
+        self.rb = b[::-1].copy()
+        self.rbt = bt[::-1].copy()
+        self.b = b, bt
+        self.qq = np.empty((2, b.shape[0]))
+        self.qq[:, 0] = 1.0
+        self.q, self.q_tilde = self.qq
+        self._tiles = None
+
+    def fill(self, lo: int, hi: int) -> None:
+        """Fill q[m] and q~[m] for m in [lo, hi), given the entries below lo."""
+        N = self.rb.shape[0] - 1
+        rb, rbt, q, qt = self.rb, self.rbt, self.q, self.q_tilde
+        for m in range(lo, min(hi, _TILE_START)):
+            q[m] = np.dot(rb[N - m : N], q[:m]) / m
+            qt[m] = np.dot(rbt[N - m : N], qt[:m]) / m
+        first = max(lo, _TILE_START)
+        for t0 in range(first - (first - _TILE_START) % _TILE, hi, _TILE):
+            self._tile(t0, max(lo, t0), min(hi, t0 + _TILE))
+
+    def _tile(self, t0: int, lo: int, hi: int) -> None:
+        # rows [lo, hi) of the tile at t0; the whole tile is computed, so a
+        # row's bits do not depend on where the fill stops
+        if self._tiles is None:
+            self._tiles = self._tile_operators()
+        H, L, rows = self._tiles
+        a = t0 // _CHUNK
+        Y = self.qq[:, :t0].reshape(2, a, _CHUNK)
+        P = np.matmul(Y.transpose(0, 2, 1), H[:, H.shape[1] - a :])
+        # h[r] = sum_c P[c, C - 1 - c + r]: that entry sits at flat offset
+        # C - 1 + c (W - 1) + r, so a (C, W - 1) view from C - 1 on holds it at [c, r]
+        W = P.shape[2]
+        diagonals = P.reshape(2, -1)[:, _CHUNK - 1 : _CHUNK * W - 1].reshape(2, _CHUNK, W - 1)
+        h = diagonals[:, :, :_TILE].sum(axis=1)[:, :, None]
+        m = t0 + rows
+        # x = (h + L x) / m: row r is final once the rows above it are, so
+        # the iterates stop changing within _TILE steps
+        x = h / m
+        for _ in range(_TILE):
+            nxt = (h + np.matmul(L, x)) / m
+            if np.array_equal(nxt, x):
+                break
+            x = nxt
+        self.qq[:, lo:hi] = x[:, lo - t0 : hi - t0, 0]
+
+    def _tile_operators(self):
+        """H with its rows reversed, L and the in-tile offsets, for both sequences."""
+        N = self.rb.shape[0] - 1
+        last = N - (N - _TILE_START) % _TILE
+        # b past N, zero here, only reaches tile rows past N
+        b = np.zeros((2, last + _TILE))
+        b[:, : N + 1] = self.b
+        windows = np.lib.stride_tricks.sliding_window_view(b[:, 1:], _TILE + _CHUNK - 1, axis=1)
+        H = windows[:, : last : _CHUNK][:, ::-1].copy()
+        r = np.arange(_TILE)
+        # contiguous: matmul runs about 3x slower on the strides the fancy index leaves
+        L = np.ascontiguousarray(np.tril(b[:, np.abs(r[:, None] - r)], -1))
+        return H, L, r[:, None].astype(float)
 
 
 def _b_series(eta: float, kmax: int) -> tuple[np.ndarray, np.ndarray]:
@@ -297,7 +367,8 @@ def _ladder_masses(eta: float, N: int, tol: float, level: float | None):
     """
     g0, _ = _no_ladder_mass(eta, tol)
     g = 1.0 - g0
-    rb, rbt, q, qt = _ladder_arrays(*_b_series(eta, N))
+    ladder = _Ladder(*_b_series(eta, N))
+    q, qt = ladder.q, ladder.q_tilde
     half = np.empty(N + 1)
     half[0] = g0 * g0
     acc = float(half[0])
@@ -305,8 +376,11 @@ def _ladder_masses(eta: float, N: int, tol: float, level: float | None):
         return g0, half, 0
     lo = 1
     while lo <= N:
-        hi = min(N + 1, lo + max(_FIRST_BLOCK, lo // 8))
-        _ladder_recursion(rb, rbt, q, qt, lo, hi)
+        hi = lo + max(_FIRST_BLOCK, lo // 8)
+        if hi > _TILE_START:  # end on the tile grid, so no tile is computed twice
+            hi += -(hi - _TILE_START) % _TILE
+        hi = min(N + 1, hi)
+        ladder.fill(lo, hi)
         half[lo:hi] = g0 * (q[lo:hi] - g * qt[lo:hi])
         if level is not None:
             acc, m = _fold_to_level(half, acc, lo, hi, level)

@@ -68,14 +68,20 @@ def log_b_tilde(n, eta: float):
     ``n`` may be a positive integer or an array of them.  The result is
     always <= 0: the weight is the expectation of exp(-S_n) on the event
     {S_n > 0} for a walk S with drift -eta^2/2 and variance eta^2 per
-    step, hence bounded by P(S_n > 0) <= 1.
+    step, hence bounded by P(S_n > 0) <= 1.  Where the tilt n eta^2
+    overflows (eta past about 1e153) the weight is below every float and
+    the result is -inf.
     """
     narr = np.asarray(n)
     if not np.all(np.isfinite(narr)) or np.any(narr != np.floor(narr)) or np.any(narr < 1):
         raise DomainError(f"n must be a positive integer, got {n!r}")
     check_eta(eta)
     nf = narr.astype(float)
-    out = nf * eta * eta + log_std_normal_survival(1.5 * eta * np.sqrt(nf))
+    with np.errstate(over="ignore"):
+        tilt = nf * eta * eta
+    fits = np.isfinite(tilt)
+    out = np.full(nf.shape, -np.inf)
+    out[fits] = tilt[fits] + log_std_normal_survival(1.5 * eta * np.sqrt(nf[fits]))
     return float(out) if np.isscalar(n) else out
 
 

@@ -5,6 +5,8 @@ import dataclasses
 import hashlib
 import io
 import json
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -80,6 +82,41 @@ def test_dist_concentrates_for_large_eta(tmp_path, capsys):
     out = capsys.readouterr().out
     prob0 = float([l for l in out.splitlines() if l.startswith("prob at 0")][0].split(":")[1])
     assert prob0 > 0.999
+
+
+def test_dist_huge_eta_writes_the_point_mass(tmp_path, capsys):
+    # the tilt n eta^2 overflows: b~ is 0, not nan, and the law is the atom at 0
+    rc = main(["dist", "--eta", "1e200", "--out", str(tmp_path / "p.csv")])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "variance: 0.000000\n" in out
+    assert "total mass: 1.000000000000 " in out
+
+    def refuse(name):
+        raise AssertionError(f"{name} in the JSON")
+
+    obj = json.loads((tmp_path / "p.json").read_text(), parse_constant=refuse)
+    assert obj["K"] == 8
+    assert obj["probs"] == [0.0] * 8 + [1.0] + [0.0] * 8
+    assert read_pmf_csv(tmp_path / "p.csv") == {k: float(k == 0) for k in range(-8, 9)}
+
+
+def test_ci_huge_eta_gives_the_zero_halfwidth(capsys):
+    assert main(["ci", "--eta", "1e300", "--level", "0.9", "--tau", "50", "--n", "100"]) == 0
+    assert capsys.readouterr().out.startswith("interval: [50, 50] at level 0.9")
+
+
+def test_dist_past_the_tiles_does_not_import_scipy_linalg(tmp_path):
+    # importing scipy.linalg alone adds about 5 MB to the peak resident size
+    src = str(Path(exactdist.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "from changepoint.cli import main\n"
+        f"assert main(['dist', '--eta', '0.1122', '--out', {str(tmp_path / 'p.csv')!r}]) == 0\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_dist_eta_guard_exits_2(tmp_path, capsys):

@@ -263,6 +263,41 @@ def test_recursion_matches_strided_reference_bit_exact(eta):
     assert np.array_equal(t.q_tilde, qt)
 
 
+def _per_index_reference(t):
+    # q / q~ by the per-index loop of the strided reference above
+    ref = np.empty((2, t.kmax + 1))
+    ref[:, 0] = 1.0
+    for m in range(1, t.kmax + 1):
+        ref[0, m] = np.dot(t.b[m:0:-1], ref[0, :m]) / m
+        ref[1, m] = np.dot(t.b_tilde[m:0:-1], ref[1, :m]) / m
+    return ref
+
+
+@pytest.mark.parametrize("eta", [0.2, 0.1122])
+def test_tiled_recursion_keeps_the_per_index_bits_below_the_tiles(eta):
+    start = exactdist._TILE_START
+    t = build_ladder_tables(eta, support_halfwidth_for(eta))
+    assert t.kmax > start
+    for got, want in zip((t.q, t.q_tilde), _per_index_reference(t)):
+        assert got[:start].tobytes() == want[:start].tobytes()
+        assert np.all(want[start:] > 0.0)
+        assert np.max(np.abs(got[start:] - want[start:]) / want[start:]) < 1e-13
+
+
+def test_tables_off_the_tile_grid_are_a_bit_exact_prefix():
+    # kmax = 5000 ends inside the tile at 4992: its rows keep the full law's bits
+    eta = 0.1122
+    short = build_ladder_tables(eta, 5000, tol=1e-12)
+    full = build_ladder_tables(eta, support_halfwidth_for(eta), tol=1e-12)
+    assert short.q.tobytes() == full.q[:5001].tobytes()
+    assert short.q_tilde.tobytes() == full.q_tilde[:5001].tobytes()
+    g0 = short.no_ladder
+    half = np.empty(5001)
+    half[0] = g0 * g0
+    half[1:] = g0 * (short.q[1:] - (1.0 - g0) * short.q_tilde[1:])
+    assert build_pmf(eta).probs_half[:5001].tobytes() == half.tobytes()
+
+
 # --- no-ladder cut-off ----------------------------------------------------
 
 def _linear_cutoff(eta, tol):
@@ -327,6 +362,7 @@ def _check_prefix(eta, level, full=None):
 )
 @example(eta=0.1122, level=0.99, n=6000, where=0.4)
 @example(eta=4.0, level=1e-300, n=2, where=0.0)
+@example(eta=0.07, level=0.99, n=20_000, where=0.5)  # m = 3376, past the first tile
 def test_level_prefix_is_a_bit_exact_prefix(eta, level, n, where):
     pre, full = _check_prefix(eta, level)
     tau = 1 + int(where * (n - 2))

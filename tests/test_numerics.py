@@ -93,6 +93,14 @@ def test_log_b_tilde_no_overflow_at_large_exponent():
     assert val == pytest.approx(625.0 + LOG_SF_375, rel=1e-12)
 
 
+def test_log_b_tilde_is_minus_inf_where_the_tilt_overflows():
+    # n eta^2 overflows for n = 8 at eta = 5e153, not yet for n = 1, 2
+    assert log_b_tilde(8, 1e200) == -math.inf
+    logs = log_b_tilde(np.array([1, 2, 8]), 5e153)
+    assert logs[2] == -math.inf
+    assert np.all(np.isfinite(logs[:2])) and np.all(logs[:2] < 0.0)
+
+
 @pytest.mark.parametrize("eta", [0.5, 1.0, 1.5, 2.0, 2.5])
 def test_b_tilde_bounded_by_b(eta):
     n = np.array([1, 2, 3, 5, 10, 50, 100, 1000, 10_000])
