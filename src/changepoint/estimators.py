@@ -19,6 +19,8 @@ The walk and criterion kernels (``loglik_ratio_terms``, ``known_walk``,
 ``split_scatters``, ``profile_criterion``) and
 ``cobb_window`` also take a stack of series, shape (..., n, d): each
 series in the stack gets exactly the bits a call on it alone would.
+``split_scatters`` centers in that layout, whose summation order sets
+bits, then runs along n on a contiguous (d, ..., n) stack.
 """
 
 from __future__ import annotations
@@ -75,12 +77,15 @@ def loglik_ratio_terms(
     d = origin.mu1.shape[0]
     if series.shape[-1] != d:
         raise DomainError(f"{d}-variate parameters given for {series.shape[-1]}-column data")
-    try:
-        L = np.linalg.cholesky(origin.sigma)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateDataError(f"covariance parameter not positive definite: {exc}") from exc
-    z1 = np.linalg.solve(L, np.swapaxes(series - origin.mu1, -1, -2))
-    z2 = np.linalg.solve(L, np.swapaxes(series - origin.mu2, -1, -2))
+    z1 = np.swapaxes(series - origin.mu1, -1, -2)
+    z2 = np.swapaxes(series - origin.mu2, -1, -2)
+    if not np.array_equal(origin.sigma, np.eye(d)):  # against L = I, solve returns its input
+        try:
+            L = np.linalg.cholesky(origin.sigma)
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateDataError(f"covariance parameter not positive definite: {exc}") from exc
+        z1 = np.linalg.solve(L, z1)
+        z2 = np.linalg.solve(L, z2)
     return 0.5 * (np.sum(z2 * z2, axis=-2) - np.sum(z1 * z1, axis=-2))
 
 
@@ -106,17 +111,20 @@ def split_scatters(series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     conditioned at arbitrary location offsets.
     """
     n, d = series.shape[-2:]
-    series = series - series.sum(axis=-2, keepdims=True) / n
-    t = np.arange(1, n, dtype=float)[:, None, None]
-    c1 = series.cumsum(axis=-2)  # (..., n, d)
-    c2 = (series[..., :, None] * series[..., None, :]).cumsum(axis=-3)  # (..., n, d, d)
-    tot1, tot2 = c1[..., -1, :], c2[..., -1, :, :]
-    left1, left2 = c1[..., :-1, :], c2[..., :-1, :, :]
-    right1 = tot1[..., None, :] - left1
-    left = left2 - left1[..., :, None] * left1[..., None, :] / t
-    right = (tot2[..., None, :, :] - left2) - right1[..., :, None] * right1[..., None, :] / (n - t)
-    scatter_n = tot2 - tot1[..., :, None] * tot1[..., None, :] / n
-    return left + right, scatter_n
+    # centered in the input layout, where the sum's order sets bits; then
+    # a (d, ..., n) stack, so every cumsum and product runs along n
+    x = np.ascontiguousarray(np.moveaxis(series - series.sum(axis=-2, keepdims=True) / n, -1, 0))
+    t = np.arange(1, n, dtype=float)
+    c1 = x.cumsum(axis=-1)  # (d, ..., n)
+    c2 = (x[:, None] * x[None, :]).cumsum(axis=-1)  # (d, d, ..., n)
+    tot1, tot2 = c1[..., -1], c2[..., -1]
+    left1, left2 = c1[..., :-1], c2[..., :-1]
+    right1 = tot1[..., None] - left1
+    left = left2 - left1[:, None] * left1[None, :] / t
+    right = (tot2[..., None] - left2) - right1[:, None] * right1[None, :] / (n - t)
+    scatter_n = tot2 - tot1[:, None] * tot1[None, :] / n
+    # views in the (..., n - 1, d, d) / (..., d, d) layout callers index
+    return np.moveaxis(left + right, (0, 1), (-2, -1)), np.moveaxis(scatter_n, (0, 1), (-2, -1))
 
 
 def admissible_splits(n: int, d: int) -> tuple[int, int]:

@@ -230,10 +230,17 @@ class _Ladder:
         return H, L, r[:, None].astype(float)
 
 
+def _b(eta: float, n: np.ndarray) -> np.ndarray:
+    """b_n = sf(eta sqrt(n) / 2); 0 where the argument overflows (eta past about 4e307)."""
+    with np.errstate(over="ignore"):
+        x = eta * np.sqrt(n) / 2.0
+    return std_normal_survival(np.minimum(x, np.finfo(float).max))
+
+
 def _b_series(eta: float, kmax: int) -> tuple[np.ndarray, np.ndarray]:
     """b and b~ over indices 0..kmax (index 0 unused, set to nan); b~ via log b~."""
     n = np.arange(1, kmax + 1)
-    b = std_normal_survival(eta * np.sqrt(n) / 2.0)
+    b = _b(eta, n)
     bt = np.exp(log_b_tilde(n, eta))
     return np.concatenate(([np.nan], b)), np.concatenate(([np.nan], bt))
 
@@ -266,7 +273,7 @@ def _no_ladder_mass(eta: float, tol: float) -> tuple[float, float]:
     r = np.exp(-eta * eta / 8.0)
     J = _no_ladder_cutoff(r, tol)
     j = np.arange(1, J + 1, dtype=float)
-    series = float(np.sum(std_normal_survival(eta * np.sqrt(j) / 2.0) / j))
+    series = float(np.sum(_b(eta, j) / j))
     return float(np.exp(-series)), float(_no_ladder_tail(r, J))
 
 

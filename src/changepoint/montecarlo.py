@@ -13,17 +13,21 @@ Within a chunk, replications are evaluated in blocks.  One Philox
 generator per chunk is re-seeked to each replication's counter block
 (its state reset, the buffer empty, exactly as a fresh
 ``Philox(key, counter)`` starts), and the replication's draws fill its
-row of a (B, n, d) buffer in replication order.  The stream is the
-per-replication one, so the data are unchanged.  Each block then makes
-one ``known_walk`` and one ``profile_criterion`` call, whose stacked
-kernels give every row the bits a call on it alone would, and tallies
-by row-wise argmax.  Integer tallies are exact; the fractional Cobb
-masses are added in replication order, so every report byte is what
-one-replication-at-a-time evaluation gives.  B keeps the profile
-kernel's (B, n, d, d) prefix sums at about 2**14 float64 elements: in
-one 20 s simulate_study benchmark run on 2 vCPU, a budget of 2**20
-gave about 14% more replications per second but nearly doubled the
-peak resident memory (195 MB against 105 MB).
+row of a (B, n, d) buffer in replication order; the state is set from
+plain Python ints, which the setter converts faster than numpy scalars.
+The stream is the per-replication one, so the data are unchanged.  Each
+block then makes one ``known_walk`` and one ``profile_criterion`` call,
+whose stacked kernels give every row the bits a call on it alone would,
+and tallies by row-wise argmax.  Integer tallies are exact.  Replication
+j's Cobb window fills row 1 + j of a (B + 1, n - 1) array under the
+running counts, whose cumsum down the rows, a left fold, adds the
+fractional masses in replication order (0.0 off a window changes no
+bit), so every report byte is what one-replication-at-a-time
+evaluation gives.  B keeps the profile kernel's (B, n, d, d) prefix
+sums at about 2**14 float64 elements: in one 20 s simulate_study
+benchmark run on 2 vCPU, a budget of 2**20 gave about 14% more
+replications per second but nearly doubled the peak resident memory
+(195 MB against 105 MB).
 
 The environment variable CHANGEPOINT_THREADS bounds process-level
 parallelism of :func:`run_study` (unset or 0 means all available cores,
@@ -127,7 +131,10 @@ class _Substreams:
 
     def __init__(self, master_seed: int):
         self._bitgen = np.random.Philox(key=master_seed)
-        self._state = self._bitgen.state  # fresh: counter 0, buffer empty
+        fresh = self._bitgen.state  # counter 0, buffer empty
+        # plain ints: the state setter converts them faster than numpy scalars
+        self._state = {**fresh, "buffer": fresh["buffer"].tolist(),
+                       "state": {"counter": [0] * 4, "key": fresh["state"]["key"].tolist()}}
         self._counter = self._state["state"]["counter"]
         self.rng = np.random.Generator(self._bitgen)
 
@@ -140,15 +147,17 @@ class _Substreams:
 
 def _draw_block(config: SimConfig, streams: _Substreams, start: int, out: np.ndarray) -> None:
     """Fill out[j], shape (n, d), with replication start + j's series."""
-    shape = out.shape[1:]
-    for j, row in enumerate(out):
-        rng = streams.seek(start + j)
-        if config.family == "gaussian":
-            rng.standard_normal(out=row)
-        elif config.family == "student_t":
-            row[...] = rng.standard_t(config.nu, shape)
-        else:
-            row[...] = rng.chisquare(config.nu, shape)
+    seek, rng, shape = streams.seek, streams.rng, out.shape[1:]
+    if config.family == "gaussian":
+        normal = rng.standard_normal
+        for j, row in enumerate(out):
+            seek(start + j)
+            normal(out=row)
+    else:
+        draw = rng.standard_t if config.family == "student_t" else rng.chisquare
+        for j, row in enumerate(out):
+            seek(start + j)
+            row[...] = draw(config.nu, shape)
     if config.family == "student_t":
         out *= np.sqrt((config.nu - 2.0) / config.nu)
     elif config.family == "chi_square":  # standardized to mean 0 variance 1
@@ -231,15 +240,17 @@ def _tally_cobb(config: SimConfig, walk: np.ndarray, tau_hat: np.ndarray, counts
     if want is None:
         want = default_cobb_delta(tau_hat, config.n)
     delta = np.minimum(want, np.minimum(tau_hat - 1, config.n - 1 - tau_hat))
-    masses = np.zeros((len(delta), 2 * int(delta.max()) + 1))
+    # row 0 holds the running counts, row 1 + j replication j's window at its splits
+    rows = np.zeros((len(delta) + 1, len(counts)))
+    rows[0] = counts
     for dd in np.unique(delta).tolist():  # one batched call per window width
-        rows = np.flatnonzero(delta == dd)
-        masses[rows, : 2 * dd + 1] = cobb_window(walk[rows], tau_hat[rows], dd)
-    # np.add.at adds in row-major order, so each count sums in replication
-    # order; the zero padding beyond a window adds 0.0, which changes no bit
-    splits = np.minimum((tau_hat - delta - 1)[:, None] + np.arange(masses.shape[1]), config.n - 2)
-    np.add.at(counts, splits, masses)
-    return masses[np.arange(len(delta)), delta], int(np.count_nonzero(delta < want))
+        sel = np.flatnonzero(delta == dd)
+        splits = (tau_hat[sel] - dd - 1)[:, None] + np.arange(2 * dd + 1)
+        rows[1 + sel[:, None], splits] = cobb_window(walk[sel], tau_hat[sel], dd)
+    # accumulate is a left fold down the rows, so each count adds its
+    # replications in order; the 0.0 entries off a window change no bit
+    counts[:] = np.cumsum(rows, axis=0)[-1]
+    return rows[1:][np.arange(len(delta)), tau_hat - 1], int(np.count_nonzero(delta < want))
 
 
 def _accumulate_range(config: SimConfig, start: int, stop: int):
@@ -414,9 +425,9 @@ def ladder_oracle(eta: float, nmax: int, replications: int, seed: int) -> Ladder
     for (S,) in _walk_batches(eta, 1, nmax, replications, seed):
         alive = np.minimum.accumulate(S > 0.0, axis=1)
         sum_q += alive.sum(axis=0)
-        w = np.exp(-S, where=alive, out=np.zeros_like(S)) * alive
+        w = np.exp(np.negative(S, out=S), where=alive, out=np.zeros_like(S))
         sum_w += w.sum(axis=0)
-        sum_w2 += (w * w).sum(axis=0)
+        sum_w2 += np.square(w, out=w).sum(axis=0)
     R = replications
     q_hat = np.concatenate([[1.0], sum_q / R])
     q_se = np.concatenate([[0.0], np.sqrt(np.clip(q_hat[1:] * (1 - q_hat[1:]), 0, None) / R)])

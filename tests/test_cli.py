@@ -106,6 +106,17 @@ def test_ci_huge_eta_gives_the_zero_halfwidth(capsys):
     assert capsys.readouterr().out.startswith("interval: [50, 50] at level 0.9")
 
 
+@pytest.mark.parametrize("eta", [1e308, sys.float_info.max])
+def test_overflowing_eta_gives_the_point_mass(tmp_path, capsys, eta):
+    # eta sqrt(n) / 2 overflows as well as the tilt: b is 0, as it is at eta 1e200
+    assert main(["dist", "--eta", repr(eta), "--out", str(tmp_path / "p.csv")]) == 0
+    assert "total mass: 1.000000000000 " in capsys.readouterr().out
+    assert read_pmf_csv(tmp_path / "p.csv") == {k: float(k == 0) for k in range(-8, 9)}
+    assert json.loads((tmp_path / "p.json").read_text())["probs"] == [0.0] * 8 + [1.0] + [0.0] * 8
+    assert main(["ci", "--eta", repr(eta), "--level", "0.9", "--tau", "50", "--n", "100"]) == 0
+    assert capsys.readouterr().out.startswith("interval: [50, 50] at level 0.9")
+
+
 def test_dist_past_the_tiles_does_not_import_scipy_linalg(tmp_path):
     # importing scipy.linalg alone adds about 5 MB to the peak resident size
     src = str(Path(exactdist.__file__).resolve().parents[1])

@@ -21,6 +21,7 @@ from changepoint.estimators import (
     mle_profile,
     mle_result_to_json,
     profile_criterion,
+    split_scatters,
 )
 from changepoint.exactdist import build_pmf
 from changepoint.model import (
@@ -254,6 +255,34 @@ def test_stacked_kernels_give_each_series_its_own_bits(d):
         assert walks[idx].tobytes() == walk.tobytes()
         assert traces[idx].tobytes() == profile_criterion(stack[idx]).tobytes()
         assert windows[idx].tobytes() == cobb_window(walk, int(tau_hat[idx]), 3).tobytes()
+
+
+def _broadcast_split_scatters(series):
+    """The (..., n, d)-layout broadcast formula split_scatters replaced, kept as its oracle."""
+    n, d = series.shape[-2:]
+    series = series - series.sum(axis=-2, keepdims=True) / n
+    t = np.arange(1, n, dtype=float)[:, None, None]
+    c1 = series.cumsum(axis=-2)
+    c2 = (series[..., :, None] * series[..., None, :]).cumsum(axis=-3)
+    tot1, tot2 = c1[..., -1, :], c2[..., -1, :, :]
+    left1, left2 = c1[..., :-1, :], c2[..., :-1, :, :]
+    right1 = tot1[..., None, :] - left1
+    left = left2 - left1[..., :, None] * left1[..., None, :] / t
+    right = (tot2[..., None, :, :] - left2) - right1[..., :, None] * right1[..., None, :] / (n - t)
+    scatter_n = tot2 - tot1[..., :, None] * tot1[..., None, :] / n
+    return left + right, scatter_n
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("offset", [0.0, 1e3, -1e3])
+def test_split_scatters_matches_the_broadcast_formula_bit_for_bit(d, offset):
+    rng = np.random.default_rng(d)
+    for shape in [(2 * (d + 1), d), (4, 2 * (d + 1), d), (3, 2, 41, d), (250, d)]:
+        series = rng.standard_normal(shape) + offset * rng.uniform(-1.0, 1.0, d)
+        got = split_scatters(series)
+        want = _broadcast_split_scatters(series)
+        assert [a.shape for a in got] == [a.shape for a in want]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 # --- conditional law --------------------------------------------------------

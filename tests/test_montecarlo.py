@@ -277,6 +277,29 @@ def test_block_engine_matches_per_replication_reference(monkeypatch, family, nu,
     assert want[3] > 0
 
 
+@pytest.mark.parametrize("rep_index", [0, 9_999, 2**64 - 1, 2**64])
+def test_seek_after_draws_gives_the_jumped_stream(rep_index):
+    streams = mc._Substreams(2**64 - 5)
+    streams.seek(3).standard_normal(7)  # a previous replication's draws
+    streams.rng.bytes(3)  # leaves a buffered 32-bit half word behind
+    rng = streams.seek(rep_index)
+    ref = np.random.Generator(np.random.Philox(key=2**64 - 5).jumped(rep_index))
+    assert (rng.bytes(10), rng.random(12).tobytes()) == (ref.bytes(10), ref.random(12).tobytes())
+
+
+def test_identity_sigma_skips_the_solves(monkeypatch):
+    # every simulated d > 1 known cell has sigma = I, against which solve
+    # returns its input; sha256 of the report as produced by commit 616c60a
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    monkeypatch.setenv("CHANGEPOINT_THREADS", "1")
+    cfg = _cfg(n=40, tau=15, eta=1.0, d=3, replications=600, master_seed=5, modes=("known", "cobb"))
+    digest = hashlib.sha256(json.dumps(report_to_json(run_study(cfg))).encode()).hexdigest()
+    assert digest == "dbf1603324aa06917d311a6d9a614730e8df4ff0774103e794ea5c223f70dd7c"
+
+
 def test_one_failing_replication_in_a_block_is_one_failure(monkeypatch):
     monkeypatch.setenv("CHANGEPOINT_THREADS", "1")
     cfg = _cfg(modes=("profile",), replications=1000)
