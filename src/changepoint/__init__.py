@@ -19,7 +19,6 @@ from .errors import (
     UnreachableLevelError,
 )
 from .exactdist import (
-    LadderTables,
     Pmf,
     build_ladder_tables,
     build_pmf,
@@ -71,7 +70,6 @@ __all__ = [
     "FactorizationError",
     "PrecisionError",
     "UnreachableLevelError",
-    "LadderTables",
     "Pmf",
     "build_ladder_tables",
     "build_pmf",

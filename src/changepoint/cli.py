@@ -134,9 +134,17 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _write_json(path: str | None, record, sort_keys: bool = True) -> None:
-    """Encode a report record and write it, if a path is given: one dump per file."""
+    """Encode a report record and write it, if a path is given: one dump per file.
+
+    A non-finite float is refused before the file is opened: JSON has no
+    literal for it.
+    """
     if path:
-        _write(path, json.dumps(record, sort_keys=sort_keys))
+        try:
+            text = json.dumps(record, sort_keys=sort_keys, allow_nan=False)
+        except ValueError as exc:
+            raise PrecisionError(f"{path}: {exc}") from None
+        _write(path, text)
 
 
 # --- commands -------------------------------------------------------------
@@ -349,18 +357,18 @@ def _parse_config_file(path: str) -> dict[str, list[str]]:
 
 # Simulate config keys: the SimConfig field, the parser of one value, and the
 # values kept ("grid" keeps all, and the cells span them; "all" keeps all;
-# "first" the first).  A flag overrides the key of its name.  An omitted key
-# takes SimConfig's default; one whose field has no default is required.
+# "one" refuses a second).  A flag overrides the key of its name.  An omitted
+# key takes SimConfig's default; one whose field has no default is required.
 _CONFIG_KEYS = {
     "n": ("n", int, "grid"),
     "tau": ("tau", int, "grid"),
     "eta": ("eta", float, "grid"),
     "modes": ("modes", str.lower, "all"),
-    "family": ("family", str.lower, "first"),
-    "nu": ("nu", float, "first"),
-    "d": ("d", int, "first"),
-    "delta": ("cobb_delta", int, "first"),
-    "reps": ("replications", int, "first"),
+    "family": ("family", str.lower, "one"),
+    "nu": ("nu", float, "one"),
+    "d": ("d", int, "one"),
+    "delta": ("cobb_delta", int, "one"),
+    "reps": ("replications", int, "one"),
 }
 _REQUIRED = [
     f.name for f in dataclasses.fields(montecarlo.SimConfig) if f.default is dataclasses.MISSING
@@ -383,11 +391,15 @@ def _config_cells(raw: dict[str, list[str]], seed: int, args):
     grid_last = sorted(_CONFIG_KEYS.items(), key=lambda item: item[1][2] == "grid")
     for key, (field, parse, kind) in grid_last:
         if key in raw:
+            if kind == "one" and len(raw[key]) > 1:
+                raise ConfigurationError(
+                    f"config key {key!r} takes one value, got {', '.join(raw[key])}"
+                )
             try:
                 vals = [parse(v) for v in raw[key]]
             except ValueError as exc:
                 raise ConfigurationError(f"config key {key!r}: {exc}") from None
-            (grid if kind == "grid" else fields)[field] = vals[0] if kind == "first" else vals
+            (grid if kind == "grid" else fields)[field] = vals[0] if kind == "one" else vals
     cells = itertools.product(*grid.values())
     return [montecarlo.SimConfig(**fields, **dict(zip(grid, cell))) for cell in cells]
 

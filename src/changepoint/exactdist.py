@@ -41,11 +41,15 @@ The recursion has two parts.  Below index 2048 each q_m is one dot
 product over q_<m.  From 2048 on, rows come in tiles of 128 on the fixed
 grid 2048 + 128 k: one matrix product per tile gives each row's sum over
 the entries below the tile, and a 128-row triangular system the rest.
-The first 2048 indices keep the bits of the per-index loop; past them the
-sums round in another order (within 2e-15 relative).  As the grid is
-fixed, q_m depends on (eta, m) alone, for one BLAS build and thread
-count, so level prefixes, full laws and ``build_ladder_tables`` agree
-bit for bit whatever index each one stops at.
+The product is summed in order over fixed slices of 384 history rows (32
+indices each): with a longer inner dimension, OpenBLAS rounded
+differently at 1 and 2 threads.  The first 2048 indices keep the bits of
+the per-index loop; past them the sums round in another order (within
+2e-15 relative).  As the grid and slices are fixed, q_m depends on
+(eta, m) alone for one BLAS build, not on its thread count, so level
+prefixes, full laws and ``build_ladder_tables`` (the recursion's
+(q, q~) over [0, kmax]) agree bit for bit whatever index each one stops
+at.
 """
 
 from __future__ import annotations
@@ -60,7 +64,6 @@ from .errors import ConfigurationError, DomainError, PrecisionError, Unreachable
 from .numerics import check_eta, log_b_tilde, std_normal_survival
 
 __all__ = [
-    "LadderTables",
     "Pmf",
     "build_ladder_tables",
     "build_pmf",
@@ -103,57 +106,23 @@ def check_level(level: float) -> None:
         raise DomainError(f"level must be in (0, 1), got {level!r}")
 
 
-@dataclass(frozen=True)
-class LadderTables:
-    """Ladder sequences of the drift -eta^2/2, variance eta^2 walk.
-
-    Index 0 of ``q``/``q_tilde`` holds the convention value 1; index n of
-    ``b``/``b_tilde`` holds the n-th term (index 0 unused, set to nan).
-    ``no_ladder`` is 1 - ||G+|| = P(the walk never enters (0, inf)),
-    computed from a series truncated with certified error
-    ``truncation_error`` < tol.
-    """
-
-    eta: float
-    kmax: int
-    tol: float
-    b: np.ndarray
-    b_tilde: np.ndarray
-    q: np.ndarray
-    q_tilde: np.ndarray
-    no_ladder: float
-    truncation_error: float
-
-
-def build_ladder_tables(eta: float, kmax: int, tol: float = _SERIES_TOL) -> LadderTables:
-    """Build b, b~, q, q~ up to index ``kmax`` plus the no-ladder mass.
-
-    The convolution recursions are evaluated in the plain probability
-    domain (every term is <= 1); only the b~ construction passes through
-    logs.  The series for ``no_ladder`` is cut at the first J whose
-    analytic tail bound, from sf(x) <= exp(-x^2/2)/2, drops below
-    ``tol``.
-    """
-    _check_eta_tol(eta, tol)
+def build_ladder_tables(eta: float, kmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_Ladder``'s q and q~ over indices 0..kmax, index 0 holding the convention value 1."""
+    _check_eta_tol(eta, _SERIES_TOL)
     if kmax < 1:
         raise ConfigurationError(f"kmax must be >= 1, got {kmax}")
     if kmax > _KMAX_CAP:
         raise PrecisionError(f"kmax {kmax} exceeds the cap {_KMAX_CAP}")
-
-    b, bt = _b_series(eta, kmax)
-    ladder = _Ladder(b, bt)
+    ladder = _Ladder(*_b_series(eta, kmax))
     ladder.fill(1, kmax + 1)
-    no_ladder, trunc = _no_ladder_mass(eta, tol)
-    return LadderTables(
-        eta=eta, kmax=kmax, tol=tol, b=b, b_tilde=bt,
-        q=ladder.q, q_tilde=ladder.q_tilde, no_ladder=no_ladder, truncation_error=trunc,
-    )
+    return ladder.q, ladder.q_tilde
 
 
 # The recursion's tile grid, _TILE_START + _TILE k (module docstring).
 _TILE_START = 2048
 _TILE = 128
 _CHUNK = 32  # rows of the history product: _TILE_START is a multiple of it
+_SLICE = 384  # longest inner dimension of one BLAS call in the history product
 
 
 class _Ladder:
@@ -197,8 +166,13 @@ class _Ladder:
             self._tiles = self._tile_operators()
         H, L, rows = self._tiles
         a = t0 // _CHUNK
-        Y = self.qq[:, :t0].reshape(2, a, _CHUNK)
-        P = np.matmul(Y.transpose(0, 2, 1), H[:, H.shape[1] - a :])
+        Y = self.qq[:, :t0].reshape(2, a, _CHUNK).transpose(0, 2, 1)
+        H = H[:, H.shape[1] - a :]
+        # summed in order over fixed slices of the history, so that no BLAS
+        # call's rounding depends on its thread count (module docstring)
+        P = np.matmul(Y[:, :, :_SLICE], H[:, :_SLICE])
+        for s in range(_SLICE, a, _SLICE):
+            P += np.matmul(Y[:, :, s : s + _SLICE], H[:, s : s + _SLICE])
         # h[r] = sum_c P[c, C - 1 - c + r]: that entry sits at flat offset
         # C - 1 + c (W - 1) + r, so a (C, W - 1) view from C - 1 on holds it at [c, r]
         W = P.shape[2]
@@ -270,6 +244,8 @@ def _no_ladder_cutoff(r: float, tol: float) -> int:
 
 
 def _no_ladder_mass(eta: float, tol: float) -> tuple[float, float]:
+    """(1 - ||G+||, bound): exp(-sum_j b_j / j) cut at the first J whose analytic
+    tail bound, from sf(x) <= exp(-x^2/2)/2, drops below ``tol``, and that bound."""
     r = np.exp(-eta * eta / 8.0)
     J = _no_ladder_cutoff(r, tol)
     j = np.arange(1, J + 1, dtype=float)

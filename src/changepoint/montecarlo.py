@@ -122,6 +122,13 @@ class SimConfig:
             raise ConfigurationError(
                 f"profile mode at d={self.d} needs n >= {2 * self.d + 2}, got n={self.n}"
             )
+        if not np.isfinite((self.n * self.eta) * (self.n * self.eta)):
+            # the known walk's partial sums reach about n eta^2 / 2 and the profile
+            # kernel's prefix products about (n eta / 2)^2; past that TV reads 1 or nan
+            raise ConfigurationError(
+                f"eta={self.eta!r} at n={self.n} overflows the simulated walks: "
+                "(n * eta)^2 must be finite"
+            )
         if self.cobb_delta is not None and self.cobb_delta < 1:
             raise ConfigurationError(f"cobb_delta must be >= 1, got {self.cobb_delta}")
 

@@ -154,9 +154,9 @@ def test_criterion_4_structural_suite():
             assert pmf.prob(k) == pmf.prob(-k)  # bit-exact symmetry
         assert pmf.total_mass() >= 1.0 - 1e-8
         assert pmf.prob(0) == pmf.no_ladder * pmf.no_ladder  # bit-exact atom
-        tables = build_ladder_tables(eta, suggested_kmax(eta), tol=1e-12)
-        assert tables.q[1] == pytest.approx(std_normal_survival(eta / 2.0), rel=1e-13)
-        assert tables.q_tilde[1] == pytest.approx(
+        q, qt = build_ladder_tables(eta, suggested_kmax(eta))
+        assert q[1] == pytest.approx(std_normal_survival(eta / 2.0), rel=1e-13)
+        assert qt[1] == pytest.approx(
             math.exp(eta * eta) * std_normal_survival(1.5 * eta), rel=1e-12
         )
         fine = build_pmf(eta, tol=1e-12)
@@ -200,11 +200,11 @@ def test_criterion_5_ladder_oracle():
     # the fixed seed keeps the realized check deterministic
     eta = 1.0
     res = ladder_oracle(eta, nmax=50, replications=10_000_000, seed=SEEDS["ladder"])
-    tables = build_ladder_tables(eta, 50)
+    q, qt = build_ladder_tables(eta, 50)
     worst = 0.0
     for k in range(1, 51):
-        zq = abs(res.q_hat[k] - tables.q[k]) / res.q_se[k]
-        zt = abs(res.q_tilde_hat[k] - tables.q_tilde[k]) / res.q_tilde_se[k]
+        zq = abs(res.q_hat[k] - q[k]) / res.q_se[k]
+        zt = abs(res.q_tilde_hat[k] - qt[k]) / res.q_tilde_se[k]
         worst = max(worst, zq, zt)
     _line("5 (ladder oracle)", worst <= 3.0, f"max |z| over k<=50: {worst:.2f} (gate 3 SE, 1e7 reps)")
     assert worst <= 3.0

@@ -15,8 +15,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from changepoint import detect, estimators, exactdist, model, montecarlo
+from changepoint import cli, detect, estimators, exactdist, model, montecarlo
 from changepoint.cli import main
+from changepoint.errors import PrecisionError
 from changepoint.exactdist import read_pmf_csv
 
 MU1 = np.array([6.738, 7.137, 6.725])
@@ -897,6 +898,57 @@ def test_simulate_refuses_a_cell_past_the_cap_before_any_cell_runs(tmp_path, cap
         tmp_path, capsys, "1.5, 0.0502",
         "support for eta=0.0502 at tol=1e-10 exceeds the 100000 cap",
     )
+
+
+@pytest.mark.parametrize("eta", ["5e153", "1e300"])
+def test_simulate_refuses_an_eta_that_overflows_the_walks(tmp_path, capsys, eta):
+    # (n eta)^2 overflows at n = 40: the walks would read TV 1 or nan and exit 0
+    _assert_grid_refused_before_any_cell(
+        tmp_path, capsys, f"1.5, {eta}",
+        f"eta={float(eta)!r} at n=40 overflows the simulated walks: (n * eta)^2 must be finite",
+    )
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("family", ["gaussian", "student_t\nnu = 5"])
+def test_simulate_at_a_huge_finite_walk_eta_recovers_tau(tmp_path, monkeypatch, d, family):
+    # (40 * 3e152)^2 is finite; warnings are errors, so no step overflows either
+    monkeypatch.setenv("CHANGEPOINT_THREADS", "1")
+    conf = _sim_config(
+        tmp_path,
+        f"n = 40\ntau = 20\neta = 3e152\nreps = 50\nd = {d}\nfamily = {family}\n"
+        "modes = known, cobb, profile\n",
+    )
+    out = tmp_path / "s.json"
+    assert main(["simulate", "--in", str(conf), "--seed", "1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["tv"] == {"known": 0.0, "cobb": 0.0, "profile": 0.0}
+
+
+@pytest.mark.parametrize(
+    "key, values",
+    [("family", "gaussian, student_t"), ("nu", "5, 7"), ("d", "1, 3"), ("delta", "2, 4"),
+     ("reps", "10, 20000")],
+)
+def test_simulate_non_grid_key_takes_one_value(tmp_path, capsys, key, values):
+    body = {"n": "40", "tau": "20", "eta": "1.5", "reps": "10", key: values}
+    conf = _sim_config(tmp_path, "".join(f"{k} = {v}\n" for k, v in body.items()))
+    rc = main(["simulate", "--in", str(conf), "--seed", "1", "--out", str(tmp_path / "s.json")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"error: config key {key!r} takes one value, got {values}\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["study.conf"]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_report_value_is_refused_before_the_file_is_written(tmp_path, value):
+    # JSON has no literal for nan or inf; the report is refused, not written invalid
+    out = tmp_path / "r.json"
+    with pytest.raises(PrecisionError) as exc:
+        cli._write_json(str(out), {"tv": {"known": value}})
+    assert str(out) in str(exc.value)
+    assert not out.exists()
 
 
 def test_simulate_refuses_profile_without_admissible_split(tmp_path, capsys, monkeypatch):

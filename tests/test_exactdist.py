@@ -3,6 +3,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,31 +48,32 @@ def pmfs():
 
 @pytest.fixture(scope="module")
 def tables():
-    return {eta: build_ladder_tables(eta, suggested_kmax(eta), tol=1e-12) for eta in ETAS}
+    return {eta: build_ladder_tables(eta, suggested_kmax(eta)) for eta in ETAS}
 
 
 # --- ladder tables --------------------------------------------------------
 
 @pytest.mark.parametrize("eta", ETAS)
 def test_recursion_base_cases(eta, tables):
-    t = tables[eta]
-    assert t.q[0] == 1.0 and t.q_tilde[0] == 1.0
-    assert t.q[1] == pytest.approx(std_normal_survival(eta / 2.0), rel=1e-14)
+    q, qt = tables[eta]
+    assert q[0] == 1.0 and qt[0] == 1.0
+    assert q[1] == pytest.approx(std_normal_survival(eta / 2.0), rel=1e-14)
     expected_qt1 = math.exp(eta * eta) * std_normal_survival(1.5 * eta)
-    assert t.q_tilde[1] == pytest.approx(expected_qt1, rel=1e-12)
+    assert qt[1] == pytest.approx(expected_qt1, rel=1e-12)
 
 
 @pytest.mark.parametrize("eta", ETAS)
 def test_table_invariants(eta, tables):
-    t = tables[eta]
-    q, qt, b, bt = t.q, t.q_tilde, t.b[1:], t.b_tilde[1:]
+    q, qt = tables[eta]
+    b, bt = (s[1:] for s in exactdist._b_series(eta, suggested_kmax(eta)))
+    no_ladder, truncation_error = exactdist._no_ladder_mass(eta, 1e-12)
     assert np.all(np.diff(q) <= 0)
     assert np.all(qt[1:] <= q[1:])
     assert np.all(qt > 0) and np.all(q <= 1.0)
     assert np.all(np.diff(b) < 0)
     assert np.all(bt <= b)
-    assert 0.0 < t.no_ladder < 1.0
-    assert 0.0 <= t.truncation_error < t.tol
+    assert 0.0 < no_ladder < 1.0
+    assert 0.0 <= truncation_error < 1e-12
 
 
 def test_eta_guard_and_tol_range():
@@ -112,9 +117,9 @@ def test_mass_reaches_one_minus_tol(eta, pmfs):
 def test_total_mass_identity(eta, pmfs, tables):
     # the series total is exactly 1 + g^2 - 2 g (1-g) sum_{k>=1} q~_k;
     # the identity pins the (slightly super-unity) closed-form total
-    pmf, t = pmfs[eta], tables[eta]
-    g = 1.0 - t.no_ladder
-    expected = 1.0 + g * g - 2.0 * g * (1.0 - g) * float(t.q_tilde[1:].sum())
+    pmf, (_, qt) = pmfs[eta], tables[eta]
+    g = 1.0 - exactdist._no_ladder_mass(eta, 1e-12)[0]
+    expected = 1.0 + g * g - 2.0 * g * (1.0 - g) * float(qt[1:].sum())
     assert pmf.total_mass() == pytest.approx(expected, abs=5e-11)
     assert pmf.total_mass() >= 1.0
 
@@ -251,50 +256,70 @@ def test_variance_for_builds_no_ladder_tables(monkeypatch):
 @pytest.mark.parametrize("eta", [0.7, 2.0])
 def test_recursion_matches_strided_reference_bit_exact(eta):
     kmax = suggested_kmax(eta)
-    t = build_ladder_tables(eta, kmax, tol=1e-12)
-    b, bt = t.b, t.b_tilde
+    got_q, got_qt = build_ladder_tables(eta, kmax)
+    b, bt = exactdist._b_series(eta, kmax)
     q = np.empty(kmax + 1)
     qt = np.empty(kmax + 1)
     q[0] = qt[0] = 1.0
     for m in range(1, kmax + 1):
         q[m] = np.dot(b[m:0:-1], q[:m]) / m
         qt[m] = np.dot(bt[m:0:-1], qt[:m]) / m
-    assert np.array_equal(t.q, q)
-    assert np.array_equal(t.q_tilde, qt)
+    assert np.array_equal(got_q, q)
+    assert np.array_equal(got_qt, qt)
 
 
-def _per_index_reference(t):
+def _per_index_reference(eta, kmax):
     # q / q~ by the per-index loop of the strided reference above
-    ref = np.empty((2, t.kmax + 1))
+    b, bt = exactdist._b_series(eta, kmax)
+    ref = np.empty((2, kmax + 1))
     ref[:, 0] = 1.0
-    for m in range(1, t.kmax + 1):
-        ref[0, m] = np.dot(t.b[m:0:-1], ref[0, :m]) / m
-        ref[1, m] = np.dot(t.b_tilde[m:0:-1], ref[1, :m]) / m
+    for m in range(1, kmax + 1):
+        ref[0, m] = np.dot(b[m:0:-1], ref[0, :m]) / m
+        ref[1, m] = np.dot(bt[m:0:-1], ref[1, :m]) / m
     return ref
 
 
 @pytest.mark.parametrize("eta", [0.2, 0.1122])
 def test_tiled_recursion_keeps_the_per_index_bits_below_the_tiles(eta):
     start = exactdist._TILE_START
-    t = build_ladder_tables(eta, support_halfwidth_for(eta))
-    assert t.kmax > start
-    for got, want in zip((t.q, t.q_tilde), _per_index_reference(t)):
+    kmax = support_halfwidth_for(eta)
+    assert kmax > start
+    for got, want in zip(build_ladder_tables(eta, kmax), _per_index_reference(eta, kmax)):
         assert got[:start].tobytes() == want[:start].tobytes()
         assert np.all(want[start:] > 0.0)
         assert np.max(np.abs(got[start:] - want[start:]) / want[start:]) < 1e-13
 
 
+def test_tiled_masses_do_not_depend_on_the_blas_thread_count():
+    # K = 19,176 at eta 0.1122 and 50,804 at 0.07: history products past one slice
+    src = str(Path(exactdist.__file__).resolve().parents[1])
+    code = (
+        f"import hashlib, sys; sys.path.insert(0, {src!r})\n"
+        "from changepoint.exactdist import build_pmf\n"
+        "for eta in (0.1122, 0.07):\n"
+        "    print(hashlib.sha256(build_pmf(eta).probs_half.tobytes()).hexdigest())\n"
+    )
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.split())
+    assert len(digests[0]) == 2
+    assert digests[0] == digests[1]
+
+
 def test_tables_off_the_tile_grid_are_a_bit_exact_prefix():
     # kmax = 5000 ends inside the tile at 4992: its rows keep the full law's bits
     eta = 0.1122
-    short = build_ladder_tables(eta, 5000, tol=1e-12)
-    full = build_ladder_tables(eta, support_halfwidth_for(eta), tol=1e-12)
-    assert short.q.tobytes() == full.q[:5001].tobytes()
-    assert short.q_tilde.tobytes() == full.q_tilde[:5001].tobytes()
-    g0 = short.no_ladder
+    short_q, short_qt = build_ladder_tables(eta, 5000)
+    full_q, full_qt = build_ladder_tables(eta, support_halfwidth_for(eta))
+    assert short_q.tobytes() == full_q[:5001].tobytes()
+    assert short_qt.tobytes() == full_qt[:5001].tobytes()
+    g0 = exactdist._no_ladder_mass(eta, 1e-12)[0]
     half = np.empty(5001)
     half[0] = g0 * g0
-    half[1:] = g0 * (short.q[1:] - (1.0 - g0) * short.q_tilde[1:])
+    half[1:] = g0 * (short_q[1:] - (1.0 - g0) * short_qt[1:])
     assert build_pmf(eta).probs_half[:5001].tobytes() == half.tobytes()
 
 
@@ -455,11 +480,11 @@ def test_full_masses_equal_the_ladder_tables_formula_bit_exact(eta):
     pmf = build_pmf(eta)
     r = np.exp(-eta * eta / 8.0)
     kmax = max(8, int(np.ceil(8.0 / (eta * eta) * np.log(2.0 / (1e-10 * (1.0 - r))))))
-    t = build_ladder_tables(eta, kmax, tol=1e-12)
-    g0 = t.no_ladder
+    q, qt = build_ladder_tables(eta, kmax)
+    g0 = exactdist._no_ladder_mass(eta, 1e-12)[0]
     half = np.empty(kmax + 1)
     half[0] = g0 * g0
-    half[1:] = g0 * (t.q[1:] - (1.0 - g0) * t.q_tilde[1:])
+    half[1:] = g0 * (q[1:] - (1.0 - g0) * qt[1:])
     assert pmf.no_ladder == g0
     assert pmf.probs_half.tobytes() == half[: pmf.support_halfwidth + 1].tobytes()
 

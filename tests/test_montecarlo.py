@@ -60,6 +60,14 @@ def test_config_refuses_profile_without_admissible_split():
     _cfg(n=4, tau=2, d=1, modes=("profile",))
 
 
+def test_config_refuses_an_eta_that_overflows_the_walks():
+    # (n eta)^2 must be finite: 40 * 5e153 squared is not, 40 * 3e152 squared is
+    for n, eta in ((40, 5e153), (40, 1e300), (10**6, 2e151)):
+        with pytest.raises(ConfigurationError, match=r"\(n \* eta\)\^2 must be finite"):
+            _cfg(n=n, tau=n // 2, eta=eta)
+    _cfg(n=40, tau=20, eta=3e152, modes=("known", "cobb", "profile"))
+
+
 # --- generation --------------------------------------------------------------
 
 def test_generation_bit_identical_per_rep():
@@ -389,8 +397,7 @@ def test_oracle_atom_and_symmetry():
     eta = 2.0
     reps = 200_000
     emp = oracle_xi_infinity(eta, reps, seed=90)
-    tables = build_ladder_tables(eta, 10)
-    p0 = tables.no_ladder**2
+    p0 = exactdist._no_ladder_mass(eta, 1e-12)[0] ** 2
     se = np.sqrt(p0 * (1 - p0) / reps)
     assert emp[0] == pytest.approx(p0, abs=3 * se)
     for k in (1, 2, 3):
@@ -424,11 +431,11 @@ def test_ladder_oracle_stream_golden():
 def test_ladder_oracle_matches_recursions():
     eta = 1.0
     res = ladder_oracle(eta, nmax=20, replications=300_000, seed=17)
-    tables = build_ladder_tables(eta, 20)
+    q, qt = build_ladder_tables(eta, 20)
     assert res.q_hat[1] == pytest.approx(std_normal_survival(eta / 2.0), abs=4 * res.q_se[1])
     for k in range(1, 21):
-        assert abs(res.q_hat[k] - tables.q[k]) <= 4 * res.q_se[k] + 1e-12
-        assert abs(res.q_tilde_hat[k] - tables.q_tilde[k]) <= 4 * res.q_tilde_se[k] + 1e-12
+        assert abs(res.q_hat[k] - q[k]) <= 4 * res.q_se[k] + 1e-12
+        assert abs(res.q_tilde_hat[k] - qt[k]) <= 4 * res.q_tilde_se[k] + 1e-12
     # nonincreasing up to noise banding
     for k in range(1, 20):
         assert res.q_hat[k + 1] <= res.q_hat[k] + 4 * res.q_se[k + 1]
