@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import sys
@@ -33,8 +34,13 @@ _DATA_ERRORS = (DegenerateDataError, FactorizationError)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; returns its exit code.
+
+    ``main`` is re-entrant: the parser is built once per process, and
+    each call parses its argv into a fresh namespace, so nothing one call
+    reads or writes carries over to the next.
+    """
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except _DATA_ERRORS as exc:
@@ -49,7 +55,9 @@ def main(argv=None) -> int:
         return 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # the tree depends on nothing in argv, and parse_args leaves it unchanged
     parser = argparse.ArgumentParser(
         prog="changepoint",
         description="Change-point estimation for Gaussian mean shifts",
@@ -127,24 +135,71 @@ def _load(args) -> model.Dataset:
     return data
 
 
-def _write(path: str | None, text: str) -> None:
+def _write(path: str | None, *pieces: str) -> None:
     if path:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.writelines(pieces)
+            fh.write("\n")
+
+
+class _JsonText(tuple):
+    """A report value already encoded as JSON, in pieces the writer copies as they are."""
 
 
 def _write_json(path: str | None, record, sort_keys: bool = True) -> None:
-    """Encode a report record and write it, if a path is given: one dump per file.
+    """Encode a report record and write it, if a path is given.
 
-    A non-finite float is refused before the file is opened: JSON has no
-    literal for it.
+    A value may be ``_JsonText``, so that one formatted text can stand
+    in two places.  A non-finite float is refused before the file is
+    opened: JSON has no literal for it.
     """
     if path:
         try:
-            text = json.dumps(record, sort_keys=sort_keys, allow_nan=False)
+            pieces = _json_pieces(record, sort_keys)
         except ValueError as exc:
             raise PrecisionError(f"{path}: {exc}") from None
-        _write(path, text)
+        _write(path, *pieces)
+
+
+def _json_pieces(value, sort_keys: bool) -> list[str]:
+    """``json.dumps(value)`` as pieces whose concatenation is that text.
+
+    A dict holding ``_JsonText`` (str keys only) is encoded key by key,
+    with ``json.dumps``' order and separators; any other value is one dump.
+    """
+    if isinstance(value, _JsonText):
+        return list(value)
+    if not _holds_text(value):
+        return [json.dumps(value, sort_keys=sort_keys, allow_nan=False)]
+    pieces = []
+    for i, (key, item) in enumerate(sorted(value.items()) if sort_keys else value.items()):
+        pieces.append(("{" if i == 0 else ", ") + json.dumps(key) + ": ")
+        pieces += _json_pieces(item, sort_keys)
+    pieces.append("}")
+    return pieces
+
+
+def _holds_text(value) -> bool:
+    return isinstance(value, _JsonText) or (
+        isinstance(value, dict) and any(map(_holds_text, value.values()))
+    )
+
+
+def _criterion_texts(criterion, lo: int, hi: int) -> tuple[_JsonText, _JsonText]:
+    """JSON arrays of a profile criterion and of the detection trace read off it.
+
+    The trace is the criterion with every split outside [lo, hi] null.
+    The entries at splits [lo, hi] are formatted once, for both arrays;
+    each side of that range holds at least one split (``admissible_splits``).
+    """
+    inner, head, tail = (
+        json.dumps(estimators.finite_list(part))[1:-1]
+        for part in (criterion[lo - 1 : hi], criterion[: lo - 1], criterion[hi:])
+    )
+    return (
+        _JsonText((f"[{head}, ", inner, f", {tail}]")),
+        _JsonText(("[" + "null, " * (lo - 1), inner, ", null" * (len(criterion) - hi) + "]")),
+    )
 
 
 # --- commands -------------------------------------------------------------
@@ -260,7 +315,9 @@ def cmd_analyze(args) -> int:
     fit = estimators.mle_profile(data)
     det = detect.mean_change_from_criterion(fit.walk_trace, data.d)
     significant = det.p_value is not None and det.p_value < DETECTION_THRESHOLD
-    report["detection"] = detect.detection_report_to_json(det)
+    # the trace is the criterion, nulled outside detection's splits: formatted once
+    criterion, trace = _criterion_texts(fit.walk_trace, *det.admissible)
+    report["detection"] = detect.detection_report_to_json(det, trace=trace)
     report["significant"] = significant
     _print_detection("mean change", det, data)
     if not significant:
@@ -307,7 +364,7 @@ def cmd_analyze(args) -> int:
     else:
         print(f"conditional interval unavailable: {conditional_err}")
 
-    report["estimation"] = estimators.mle_result_to_json(fit)
+    report["estimation"] = estimators.mle_result_to_json(fit, criterion=criterion)
     report["eta_hat"] = eta_hat
     report["distribution"] = {
         "eta": eta_hat,

@@ -209,8 +209,12 @@ def residual_diagnostics(data: Dataset, tau_hat: int) -> DiagnosticsReport:
 
 # --- serialization -------------------------------------------------------
 
-def detection_report_to_json(report: DetectionReport) -> dict:
-    """The report as a JSON-ready record; inadmissible splits are None."""
+def detection_report_to_json(report: DetectionReport, trace=None) -> dict:
+    """The report as a JSON-ready record; inadmissible splits are None.
+
+    ``trace``, if given, is written for the trace: the JSON value a
+    caller already built from the same numbers.
+    """
     return {
         "kind": report.statistic_kind,
         "U": report.U,
@@ -218,6 +222,6 @@ def detection_report_to_json(report: DetectionReport) -> dict:
         "p_value": report.p_value,
         "p": report.p,
         "tau_hat": report.tau_hat,
-        "trace": finite_list(report.trace),
+        "trace": finite_list(report.trace) if trace is None else trace,
         "admissible": list(report.admissible),
     }

@@ -339,11 +339,15 @@ def finite_list(a: np.ndarray) -> list:
     return out
 
 
-def mle_result_to_json(result: MleResult) -> dict:
-    """The fit as a JSON-ready record; inadmissible splits are None."""
+def mle_result_to_json(result: MleResult, criterion=None) -> dict:
+    """The fit as a JSON-ready record; inadmissible splits are None.
+
+    ``criterion``, if given, is written for the walk trace: the JSON
+    value a caller already built from the same numbers.
+    """
     return {
         "tau_hat": result.tau_hat,
         "mode": result.mode,
-        "criterion": finite_list(result.walk_trace),
+        "criterion": finite_list(result.walk_trace) if criterion is None else criterion,
         "params": _params_json(result.params_used),
     }

@@ -113,7 +113,7 @@ def build_ladder_tables(eta: float, kmax: int) -> tuple[np.ndarray, np.ndarray]:
         raise ConfigurationError(f"kmax must be >= 1, got {kmax}")
     if kmax > _KMAX_CAP:
         raise PrecisionError(f"kmax {kmax} exceeds the cap {_KMAX_CAP}")
-    ladder = _Ladder(*_b_series(eta, kmax))
+    ladder = _Ladder(eta, kmax)
     ladder.fill(1, kmax + 1)
     return ladder.q, ladder.q_tilde
 
@@ -126,7 +126,7 @@ _SLICE = 384  # longest inner dimension of one BLAS call in the history product
 
 
 class _Ladder:
-    """q and q~ over [0, N] for b / b~ over [0, N], filled by ``fill``.
+    """q and q~ over [0, N], filled by ``fill``, which builds b / b~ only as far as it reaches.
 
     Past _TILE_START, a tile at t0 splits m q_m = sum_{j<m} b_{m-j} q_j
     into the history j < t0 and the in-tile part.  With j = C a + c and
@@ -137,21 +137,40 @@ class _Ladder:
     L[r, u] = b[r - u] strictly lower triangular.
     """
 
-    def __init__(self, b: np.ndarray, bt: np.ndarray):
+    def __init__(self, eta: float, N: int):
+        self.eta = eta
+        # past _TILE_START, b runs to the end of the last tile; past N it is
+        # zero, which only reaches tile rows past N
+        self._last = N - (N - _TILE_START) % _TILE
+        self.b = np.zeros((2, max(N + 1, self._last + _TILE)))
         # b[m:0:-1] == rb[N-m:N]: the same values in the same order, but
-        # contiguous, so np.dot hands them to BLAS without a per-call copy.
-        self.rb = b[::-1].copy()
-        self.rbt = bt[::-1].copy()
-        self.b = b, bt
-        self.qq = np.empty((2, b.shape[0]))
+        # contiguous, so np.dot hands them to BLAS without a per-call copy
+        self.rb = np.empty((2, N + 1))
+        self.reach = 0  # b and rb hold b_1 .. b_reach
+        self.qq = np.empty((2, N + 1))
         self.qq[:, 0] = 1.0
         self.q, self.q_tilde = self.qq
-        self._tiles = None
+        self._H = None  # H with its rows reversed: row a at index A - 1 - a
+        self._windows = None  # every row of H, as a view of b
+        self._h_rows = 0  # rows of H built so far
+        self._L = None
+
+    def extend(self, reach: int) -> None:
+        """Build b_m and b~_m for m <= reach, the full series' bits (``_b_terms``)."""
+        old, N = self.reach, self.rb.shape[1] - 1
+        if reach > old:
+            self.b[:, old + 1 : reach + 1] = _b_terms(self.eta, np.arange(old + 1, reach + 1))
+            self.rb[:, N - reach : N - old] = self.b[:, reach:old:-1]
+            self.reach = reach
 
     def fill(self, lo: int, hi: int) -> None:
         """Fill q[m] and q~[m] for m in [lo, hi), given the entries below lo."""
-        N = self.rb.shape[0] - 1
-        rb, rbt, q, qt = self.rb, self.rbt, self.q, self.q_tilde
+        N = self.rb.shape[1] - 1
+        # b through hi - 1, and past _TILE_START through the end of its tile,
+        # which the tile's history reads
+        end = hi - 1 if hi <= _TILE_START else hi - 1 + (_TILE_START - hi) % _TILE
+        self.extend(min(N, end))
+        (rb, rbt), (q, qt) = self.rb, self.qq
         for m in range(lo, min(hi, _TILE_START)):
             q[m] = np.dot(rb[N - m : N], q[:m]) / m
             qt[m] = np.dot(rbt[N - m : N], qt[:m]) / m
@@ -162,12 +181,10 @@ class _Ladder:
     def _tile(self, t0: int, lo: int, hi: int) -> None:
         # rows [lo, hi) of the tile at t0; the whole tile is computed, so a
         # row's bits do not depend on where the fill stops
-        if self._tiles is None:
-            self._tiles = self._tile_operators()
-        H, L, rows = self._tiles
         a = t0 // _CHUNK
+        H = self._history_operator(a)
+        L, rows = self._in_tile_operator()
         Y = self.qq[:, :t0].reshape(2, a, _CHUNK).transpose(0, 2, 1)
-        H = H[:, H.shape[1] - a :]
         # summed in order over fixed slices of the history, so that no BLAS
         # call's rounding depends on its thread count (module docstring)
         P = np.matmul(Y[:, :, :_SLICE], H[:, :_SLICE])
@@ -189,19 +206,34 @@ class _Ladder:
             x = nxt
         self.qq[:, lo:hi] = x[:, lo - t0 : hi - t0, 0]
 
-    def _tile_operators(self):
-        """H with its rows reversed, L and the in-tile offsets, for both sequences."""
-        N = self.rb.shape[0] - 1
-        last = N - (N - _TILE_START) % _TILE
-        # b past N, zero here, only reaches tile rows past N
-        b = np.zeros((2, last + _TILE))
-        b[:, : N + 1] = self.b
-        windows = np.lib.stride_tricks.sliding_window_view(b[:, 1:], _TILE + _CHUNK - 1, axis=1)
-        H = windows[:, : last : _CHUNK][:, ::-1].copy()
-        r = np.arange(_TILE)
-        # contiguous: matmul runs about 3x slower on the strides the fancy index leaves
-        L = np.ascontiguousarray(np.tril(b[:, np.abs(r[:, None] - r)], -1))
-        return H, L, r[:, None].astype(float)
+    def _history_operator(self, a: int) -> np.ndarray:
+        """The first ``a`` rows of H in reverse order, for both sequences.
+
+        Rows are added as tiles need them, at the tail of one reversed
+        buffer sized for the last tile, so the slice handed to matmul is
+        contiguous and no row is built twice.
+        """
+        if self._H is None:
+            W = _TILE + _CHUNK - 1
+            self._H = np.empty((2, self._last // _CHUNK, W))
+            self._windows = np.lib.stride_tricks.sliding_window_view(self.b[:, 1:], W, axis=1)
+        A, built = self._H.shape[1], self._h_rows
+        if a > built:
+            # row a - 1 reads b up to C a + T - 1, the end of the tile at C a, which
+            # ``fill`` has built (zero past N)
+            rows = self._windows[:, _CHUNK * built : _CHUNK * a : _CHUNK]
+            self._H[:, A - a : A - built] = rows[:, ::-1]
+            self._h_rows = a
+        return self._H[:, A - a :]
+
+    def _in_tile_operator(self):
+        """L and the in-tile offsets, for both sequences."""
+        if self._L is None:
+            r = np.arange(_TILE)
+            # contiguous: matmul runs about 3x slower on the strides the fancy index leaves
+            L = np.ascontiguousarray(np.tril(self.b[:, np.abs(r[:, None] - r)], -1))
+            self._L = L, r[:, None].astype(float)
+        return self._L
 
 
 def _b(eta: float, n: np.ndarray) -> np.ndarray:
@@ -211,11 +243,15 @@ def _b(eta: float, n: np.ndarray) -> np.ndarray:
     return std_normal_survival(np.minimum(x, np.finfo(float).max))
 
 
+def _b_terms(eta: float, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """b_n and b~_n at the indices n (b~ via log b~), elementwise: any index range
+    gets the bits of the full series."""
+    return _b(eta, n), np.exp(log_b_tilde(n, eta))
+
+
 def _b_series(eta: float, kmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """b and b~ over indices 0..kmax (index 0 unused, set to nan); b~ via log b~."""
-    n = np.arange(1, kmax + 1)
-    b = _b(eta, n)
-    bt = np.exp(log_b_tilde(n, eta))
+    """b and b~ over indices 0..kmax (index 0 unused, set to nan)."""
+    b, bt = _b_terms(eta, np.arange(1, kmax + 1))
     return np.concatenate(([np.nan], b)), np.concatenate(([np.nan], bt))
 
 
@@ -350,7 +386,9 @@ def _ladder_masses(eta: float, N: int, tol: float, level: float | None):
     """
     g0, _ = _no_ladder_mass(eta, tol)
     g = 1.0 - g0
-    ladder = _Ladder(*_b_series(eta, N))
+    ladder = _Ladder(eta, N)
+    if level is None:
+        ladder.extend(N)  # the fill runs to N: b / b~ in one pass
     q, qt = ladder.q, ladder.q_tilde
     half = np.empty(N + 1)
     half[0] = g0 * g0

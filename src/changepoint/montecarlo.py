@@ -71,11 +71,30 @@ _ORACLE_BATCH = 1 << 14  # fixed: changing it would change the oracle streams
 _CHUNK_REPS = 10_000
 # float64 elements per block of replications; the block size sets no result bit
 _BLOCK_ELEMENTS = 2**14
+# Largest relative rounding of the profile kernel's within-segment scatter that
+# a profile cell accepts, and the eta where about eps eta^2 / 4 reaches it
+_PROFILE_ROUNDING = 1e-4
+_EPS = float(np.finfo(float).eps)
+_PROFILE_ETA_MAX = 2.0 * float(np.sqrt(_PROFILE_ROUNDING / _EPS))
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulation cell: sample geometry, change size, noise, modes."""
+    """One simulation cell: sample geometry, change size, noise, modes.
+
+    A profile cell with eta in (_PROFILE_ETA_MAX, 2**52), about
+    (1.342e6, 4.5e15), is refused.  ``estimators.split_scatters`` centers
+    the rows, which then sit about eta / 2 from the mean, so its prefix
+    sums carry about (eta / 2)^2 per row, while the within-segment
+    scatter they must give by difference is about 1 per row (unit
+    noise).  That scatter is off by about eps eta^2 / 4 of itself (eps
+    = 2**-52; measured up to about 30 times that for n up to 4000, the
+    factor growing about like sqrt(n)), and the refusal keeps it at most
+    1e-4.  At eta = 1e8 it is 0.55, and at n = 40, tau = 20 the profile
+    TV read 0.045 where the law gives 0.
+    From 2**52 on, eta + noise already rounds the unit noise to whole
+    units when the rows are drawn, so the kernel is not the limit there.
+    """
 
     n: int
     tau: int
@@ -128,6 +147,14 @@ class SimConfig:
             raise ConfigurationError(
                 f"eta={self.eta!r} at n={self.n} overflows the simulated walks: "
                 "(n * eta)^2 must be finite"
+            )
+        if "profile" in modes and _PROFILE_ETA_MAX < self.eta < 2.0**52:
+            rounding = _EPS * self.eta**2 / 4
+            raise ConfigurationError(
+                f"profile mode at eta={self.eta!r} loses the noise to rounding: the split "
+                "kernel's prefix sums carry about (eta/2)^2 per row against a scatter of "
+                f"about 1, an error of about eps*eta^2/4 = {rounding:.2g} of it; profile "
+                f"cells need at most {_PROFILE_ROUNDING:g}, so eta <= {_PROFILE_ETA_MAX:.4g}"
             )
         if self.cobb_delta is not None and self.cobb_delta < 1:
             raise ConfigurationError(f"cobb_delta must be >= 1, got {self.cobb_delta}")

@@ -15,9 +15,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import changepoint
 from changepoint import cli, detect, estimators, exactdist, model, montecarlo
 from changepoint.cli import main
-from changepoint.errors import PrecisionError
+from changepoint.errors import ChangePointError, PrecisionError
 from changepoint.exactdist import read_pmf_csv
 
 MU1 = np.array([6.738, 7.137, 6.725])
@@ -924,6 +925,27 @@ def test_simulate_at_a_huge_finite_walk_eta_recovers_tau(tmp_path, monkeypatch, 
     assert json.loads(out.read_text())["tv"] == {"known": 0.0, "cobb": 0.0, "profile": 0.0}
 
 
+@pytest.mark.parametrize("eta", ["1e8", "1e12"])
+def test_simulate_refuses_a_profile_eta_the_split_kernel_cannot_resolve(tmp_path, capsys, eta):
+    # at n = 40, tau = 20 these cells read profile TV 0.045 and 0.405 where the law gives 0
+    conf = _sim_config(tmp_path, f"n = 40\ntau = 20\neta = {eta}\nreps = 200\nmodes = profile\n")
+    out = tmp_path / "s.json"
+    assert main(["simulate", "--in", str(conf), "--seed", "1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: profile mode at eta={float(eta)!r} loses the noise")
+    assert "so eta <= 1.342e+06\n" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["study.conf"]
+
+
+def test_simulate_profile_runs_at_eta_1e6(tmp_path, monkeypatch):
+    monkeypatch.setenv("CHANGEPOINT_THREADS", "1")
+    conf = _sim_config(tmp_path, "n = 40\ntau = 20\neta = 1e6\nreps = 200\nmodes = profile\n")
+    out = tmp_path / "s.json"
+    assert main(["simulate", "--in", str(conf), "--seed", "1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["tv"] == {"profile": 0.0}
+
+
 @pytest.mark.parametrize(
     "key, values",
     [("family", "gaussian, student_t"), ("nu", "5, 7"), ("d", "1, 3"), ("delta", "2, 4"),
@@ -1095,3 +1117,130 @@ def test_simulate_malformed_numeric_config_exits_2(key, value):
         rc = main(["simulate", "--in", str(conf), "--seed", "1", "--out", str(Path(tmp) / "s.json")])
     assert rc == 2
     assert err.getvalue().startswith("error:") and repr(key) in err.getvalue()
+
+
+# --- one parser per process, one criterion text per report --------------------
+
+def test_parser_is_built_once_per_process():
+    parser = cli._build_parser()
+    assert main(["ci", "--eta", "1.5", "--level", "0.9", "--tau", "50", "--n", "100"]) == 0
+    assert cli._build_parser() is parser
+
+
+_REENTRANT_PAIRS = {
+    "ci": (
+        ["ci", "--eta", "0.7", "--level", "0.9", "--tau", "50", "--n", "100", "--origin", "1900"],
+        ["ci", "--eta", "0.7", "--level", "0.9", "--tau", "50", "--n", "100"],
+    ),
+    "analyze": (
+        ["analyze", "--in", "../step.csv", "--delta", "4"],
+        ["analyze", "--in", "../step.csv"],
+    ),
+    "dist": (["dist", "--eta", "1.5", "--verify"], ["dist", "--eta", "1.5"]),
+}
+
+
+def _outputs(argv, run, cwd) -> tuple:
+    # one call in a fresh directory: exit code, stdout and every file it wrote
+    cwd.mkdir()
+    out = ["--out", "r.csv" if argv[0] == "dist" else "r.json"]
+    rc, stdout = run(argv + out, cwd)
+    return rc, stdout, {p.name: p.read_bytes() for p in sorted(cwd.iterdir())}
+
+
+@pytest.mark.parametrize("command", sorted(_REENTRANT_PAIRS))
+def test_alternating_calls_write_what_a_fresh_process_writes(tmp_path, monkeypatch, capsys, command):
+    _write_step_csv(tmp_path / "step.csv")
+    src = str(Path(cli.__file__).resolve().parents[1])
+
+    def fresh(argv, cwd):
+        code = f"import sys; sys.path.insert(0, {src!r}); from changepoint.cli import main; " \
+            f"raise SystemExit(main({argv!r}))"
+        proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, capture_output=True, text=True)
+        return proc.returncode, proc.stdout
+
+    def in_process(argv, cwd):
+        monkeypatch.chdir(cwd)
+        capsys.readouterr()
+        rc = main(argv)
+        return rc, capsys.readouterr().out
+
+    first, second = _REENTRANT_PAIRS[command]
+    want = [_outputs(argv, fresh, tmp_path / f"fresh{i}") for i, argv in enumerate((first, second))]
+    # the flag shows: --origin and --delta in the report, --verify on stdout
+    assert want[0][0] == want[1][0] == 0 and want[0] != want[1]
+    for k, argv in enumerate((first, second, first, second)):
+        assert _outputs(argv, in_process, tmp_path / f"call{k}") == want[k % 2]
+
+
+def test_usage_errors_and_version_after_a_cached_parse(capsys):
+    assert main(["ci", "--eta", "1.5", "--level", "0.9", "--tau", "50", "--n", "100"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["ci"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --eta" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"changepoint {changepoint.__version__}\n"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    d=st.integers(1, 3),
+    extra=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+    exact=st.sampled_from([None, "first", "last"]),
+)
+def test_criterion_texts_match_each_serializer(d, extra, seed, exact):
+    # the shared text is byte for byte what each serializer's own list dumps to
+    n = 2 * (d + 1) + extra
+    y = np.random.default_rng(seed).standard_normal((n, d))
+    if exact == "first":
+        y[1:] = 0.0  # one row against a constant rest: at d = 1 an exact fit at split 1
+    elif exact == "last":
+        y[:-1] = 0.0
+    try:
+        fit = estimators.mle_profile(model.Dataset(y))
+        det = detect.mean_change_from_criterion(fit.walk_trace, d)
+    except ChangePointError:
+        return
+    criterion, trace = cli._criterion_texts(fit.walk_trace, *det.admissible)
+    assert "".join(criterion) == json.dumps(estimators.finite_list(fit.walk_trace))
+    assert "".join(trace) == json.dumps(estimators.finite_list(det.trace))
+
+
+def test_exact_fit_split_writes_null_in_both_arrays(tmp_path):
+    # a d = 1 fit scores +inf at split 1, which detection's splits [2, n - 2] leave out
+    y = np.zeros((10, 1))
+    y[0] = 5.0
+    fit = estimators.mle_profile(model.Dataset(y))
+    det = detect.mean_change_from_criterion(fit.walk_trace, 1)
+    assert np.isposinf(fit.walk_trace[0]) and det.admissible == (2, 8)
+    criterion, trace = cli._criterion_texts(fit.walk_trace, *det.admissible)
+    record = {
+        "detection": detect.detection_report_to_json(det, trace=trace),
+        "estimation": estimators.mle_result_to_json(fit, criterion=criterion),
+    }
+    out = tmp_path / "r.json"
+    cli._write_json(str(out), record)
+    plain = {
+        "detection": detect.detection_report_to_json(det),
+        "estimation": estimators.mle_result_to_json(fit),
+    }
+    assert out.read_text() == json.dumps(plain, sort_keys=True, allow_nan=False) + "\n"
+    report = json.loads(out.read_text())
+    assert report["detection"]["trace"][0] is None
+    assert report["estimation"]["criterion"][0] is None
+    assert report["detection"]["trace"][1:-1] == report["estimation"]["criterion"][1:-1]
+
+
+def test_non_finite_value_beside_the_shared_text_exits_2(tmp_path, monkeypatch, capsys):
+    # the step series is significant, so its report holds the criterion text and the variance
+    monkeypatch.chdir(tmp_path)
+    _write_step_csv(tmp_path / "step.csv")
+    monkeypatch.setattr(exactdist, "variance_for", lambda eta: float("nan"))
+    assert main(["analyze", "--in", "step.csv", "--out", "r.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: r.json: Out of range float values are not JSON compliant")
+    assert not (tmp_path / "r.json").exists()

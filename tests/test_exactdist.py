@@ -366,6 +366,30 @@ def test_b_series_prefix_bit_exact(eta):
         assert long_bt[: n + 1].tobytes() == bt.tobytes()
 
 
+@pytest.mark.parametrize("eta, m, most", [(0.05, 6884, 8000), (0.1122, 1230, 1400)])
+def test_level_stopped_law_builds_b_only_to_its_reach(monkeypatch, eta, m, most):
+    # the full series would be min(K, cap) = 100,000 and 19,176 terms long
+    built = []
+    real = exactdist._b_terms
+
+    def counting(eta, n):
+        built.extend(n.tolist())
+        return real(eta, n)
+
+    monkeypatch.setattr(exactdist, "_b_terms", counting)
+    assert build_pmf(eta, level=0.99).support_halfwidth == m
+    assert built == list(range(1, len(built) + 1))  # each term once, in order
+    assert m <= len(built) <= most
+
+
+def test_tile_history_operator_is_sized_to_the_reach():
+    ladder = exactdist._Ladder(0.05, 100_000)
+    ladder.fill(1, 7001)
+    # the last tile starts at 6912, so its history is 6912 / 32 rows of H, out of 3124
+    assert ladder._h_rows == 6912 // exactdist._CHUNK
+    assert ladder.reach == 6912 + exactdist._TILE - 1
+
+
 def _check_prefix(eta, level, full=None):
     full = build_pmf(eta) if full is None else full
     pre = build_pmf(eta, level=level)

@@ -68,6 +68,15 @@ def test_config_refuses_an_eta_that_overflows_the_walks():
     _cfg(n=40, tau=20, eta=3e152, modes=("known", "cobb", "profile"))
 
 
+def test_config_refuses_a_profile_eta_the_split_kernel_cannot_resolve():
+    # eps eta^2 / 4 is 0.56 at 1e8 and 5.6e7 at 1e12, against 5.6e-5 at 1e6
+    for eta in (1e8, 1e12):
+        with pytest.raises(ConfigurationError, match=r"eps\*eta\^2/4 = .* eta <= 1\.342e\+06"):
+            _cfg(n=40, tau=20, eta=eta, modes=("known", "profile"))
+        _cfg(n=40, tau=20, eta=eta, modes=("known", "cobb"))
+    _cfg(n=40, tau=20, eta=1e6, modes=("profile",))
+
+
 # --- generation --------------------------------------------------------------
 
 def test_generation_bit_identical_per_rep():
