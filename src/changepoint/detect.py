@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, DomainError
-from .estimators import admissible_splits, finite_list, profile_criterion, segment_fit
+from .estimators import admissible_splits, finite_list, pair_cumsums, profile_criterion, segment_fit
 # unused here; kept importable because the benchmark tracer wraps ``detect.split_scatters``
 from .estimators import split_scatters  # noqa: F401
 from .model import Dataset
@@ -159,21 +159,35 @@ def covariance_change_statistic(deviations: Dataset) -> DetectionReport:
         raise DegenerateDataError("second-moment matrix of the deviations is singular")
 
     t = np.arange(lo, hi + 1, dtype=float)
-    c2 = np.cumsum(series[:, :, None] * series[:, None, :], axis=0)
-    tot2 = c2[-1]
-    left2 = c2[lo - 1 : hi]
-    nt = (n - t)[:, None, None]
-    S_left = left2 / t[:, None, None]
-    S_right = (tot2[None] - left2) / nt
-    sign_l, logdet_l = np.linalg.slogdet(S_left)
-    sign_r, logdet_r = np.linalg.slogdet(S_right)
-    ok = (sign_l > 0) & (sign_r > 0)
+    sign, logdet = np.linalg.slogdet(_segment_second_moments(series, t))
+    ok = (sign[0] > 0) & (sign[1] > 0)
     trace = np.full(n - 1, np.nan)
     with np.errstate(invalid="ignore"):
         trace[lo - 1 : hi] = np.where(
-            ok, n * logdet_f - t * logdet_l - (n - t) * logdet_r, np.nan
+            ok, n * logdet_f - t * logdet[0] - (n - t) * logdet[1], np.nan
         )
     return _report("covariance_change", trace, lo, hi, n, p=d * (d + 1) // 2)
+
+
+def _segment_second_moments(series: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """S_{1:t} = c2_t / t and S_{t+1:n} = (c2_n - c2_t) / (n - t) at consecutive splits t.
+
+    c2_t sums the row products through row t (``pair_cumsums``).  The
+    result is a (2, len(t), d, d) view of a (2, d, d, len(t)) array
+    filled pair by pair, each pair copied to its mirror.
+    """
+    n, d = series.shape
+    lo, hi = int(t[0]), int(t[-1])
+    nt = n - t
+    moments = np.empty((2, d, d, t.size))
+    for i, j, prefix, total in pair_cumsums(np.ascontiguousarray(series.T)):
+        left2 = prefix[lo - 1 : hi]
+        np.divide(left2, t, out=moments[0, i, j])
+        np.subtract(total, left2, out=moments[1, i, j])
+        moments[1, i, j] /= nt
+        if i != j:
+            moments[:, j, i] = moments[:, i, j]
+    return moments.transpose(0, 3, 1, 2)
 
 
 @dataclass(frozen=True)

@@ -101,6 +101,25 @@ def mle_known(data: Dataset, origin: UnivariateOrigin | MultivariateOrigin) -> M
     return MleResult(tau_hat=tau_hat, walk_trace=walk, params_used=origin, mode="known")
 
 
+def pair_cumsums(x: np.ndarray):
+    """Prefix sums along n of the products x[i] * x[j], i <= j, of a (d, ..., n) stack, n >= 2.
+
+    Yields (i, j, prefix, total) for the d(d+1)/2 upper-triangle pairs
+    in row order: prefix[..., t-1] sums the products of rows 1..t for
+    t = 1..n-1, and total sums all n, the last step of the same cumsum
+    taken apart so that the prefix is contiguous.  Each pair reuses the
+    same buffers, so a caller holds one pair's sums, never d^2.  The
+    product commutes, so pair (j, i) has the bits of pair (i, j).
+    """
+    prod = np.empty(x.shape[1:])
+    prefix = np.empty(x.shape[1:-1] + (x.shape[-1] - 1,))
+    for i in range(len(x)):
+        for j in range(i, len(x)):
+            np.multiply(x[i], x[j], out=prod)
+            np.cumsum(prod[..., :-1], axis=-1, out=prefix)
+            yield i, j, prefix, prefix[..., -1] + prod[..., -1]
+
+
 def split_scatters(series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Within-segment scatter matrices about segment means, per split t.
 
@@ -109,22 +128,43 @@ def split_scatters(series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for t = 1..n-1; scatter_n is the scatter about the global mean.
     Data are centered first, so the prefix-sum evaluation stays well
     conditioned at arbitrary location offsets.
+
+    One pass over the upper-triangle pairs (``pair_cumsums``) fills a
+    fresh (d, d, ..., n-1) array in place, each pair copied to its
+    mirror; the results are (..., n-1, d, d) and (..., d, d) views of
+    it, which the caller owns and may overwrite.
     """
     n, d = series.shape[-2:]
+    k = series.ndim
     # centered in the input layout, where the sum's order sets bits; then
     # a (d, ..., n) stack, so every cumsum and product runs along n
-    x = np.ascontiguousarray(np.moveaxis(series - series.sum(axis=-2, keepdims=True) / n, -1, 0))
+    x = series - series.sum(axis=-2, keepdims=True) / n
+    x = np.ascontiguousarray(x.transpose(-1, *range(k - 1)))
     t = np.arange(1, n, dtype=float)
-    c1 = x.cumsum(axis=-1)  # (d, ..., n)
-    c2 = (x[:, None] * x[None, :]).cumsum(axis=-1)  # (d, d, ..., n)
-    tot1, tot2 = c1[..., -1], c2[..., -1]
-    left1, left2 = c1[..., :-1], c2[..., :-1]
+    nt = n - t
+    c1 = x.cumsum(axis=-1)
+    tot1, left1 = c1[..., -1], c1[..., :-1]
     right1 = tot1[..., None] - left1
-    left = left2 - left1[:, None] * left1[None, :] / t
-    right = (tot2[..., None] - left2) - right1[:, None] * right1[None, :] / (n - t)
+    scatter_t = np.empty((d,) + left1.shape)
+    tot2 = np.empty((d,) + tot1.shape)
+    right = np.empty(left1.shape[1:])
+    for i, j, left2, total in pair_cumsums(x):
+        tot2[i, j] = tot2[j, i] = total
+        # left2 - left1_i left1_j / t + ((tot2 - left2) - right1_i right1_j / (n - t)),
+        # evaluated in that order, in place
+        out = scatter_t[i, j]
+        np.multiply(left1[i], left1[j], out=out)
+        out /= t
+        np.subtract(left2, out, out=out)
+        np.multiply(right1[i], right1[j], out=right)
+        right /= nt
+        np.subtract(tot2[i, j, ..., None], left2, out=left2)
+        left2 -= right
+        out += left2
+        if i != j:
+            scatter_t[j, i] = out
     scatter_n = tot2 - tot1[:, None] * tot1[None, :] / n
-    # views in the (..., n - 1, d, d) / (..., d, d) layout callers index
-    return np.moveaxis(left + right, (0, 1), (-2, -1)), np.moveaxis(scatter_n, (0, 1), (-2, -1))
+    return scatter_t.transpose(*range(2, k + 1), 0, 1), scatter_n.transpose(*range(2, k), 0, 1)
 
 
 def admissible_splits(n: int, d: int) -> tuple[int, int]:
@@ -142,23 +182,30 @@ def profile_criterion(series: np.ndarray) -> np.ndarray:
 
     Admissible splits are [1, n-1] at d = 1 and ``admissible_splits``
     otherwise (nan outside).  An exact fit, a segment scatter that is
-    singular, scores +inf: at d = 1 a zero scatter (rounding below 0
-    gives nan), at d > 1 a determinant of sign <= 0, since rounding
-    leaves a singular scatter's sign at 0 or -1.  Raises if, for any
-    series in the stack, the no-change covariance estimate is singular
-    or no split scores.
+    singular, scores +inf: at d = 1 a scatter <= 0, since rounding can
+    take a zero scatter below 0, and at d > 1 a determinant of sign
+    <= 0, since rounding leaves a singular scatter's sign at 0 or -1.
+    Raises if, for any series in the stack, the no-change covariance
+    estimate is singular or no split scores.
+
+    The admissible slice of ``split_scatters``' result is divided by n
+    in place and handed to ``slogdet`` (at d = 1, ``log``) as it is:
+    the call holds one (d, d, ..., n-1) stack and no copy of it.
     """
     n, d = series.shape[-2:]
     lo, hi = (1, n - 1) if d == 1 else admissible_splits(n, d)
     scatter_t, scatter_n = split_scatters(series)
+    sigma_t = scatter_t[..., lo - 1 : hi, :, :]
+    sigma_t /= n
     with np.errstate(divide="ignore", invalid="ignore"):
         if d == 1:
             logdet_n = np.log(scatter_n[..., 0, 0] / n)
-            logdet_t = np.log(scatter_t[..., lo - 1 : hi, 0, 0] / n)
+            sigma_t = sigma_t[..., 0, 0]
+            logdet_t = np.log(np.maximum(sigma_t, 0.0, out=sigma_t), out=sigma_t)
         else:
             sign_n, logdet_n = np.linalg.slogdet(scatter_n / n)
             logdet_n = np.where(sign_n > 0, logdet_n, np.nan)
-            sign_t, logdet_t = np.linalg.slogdet(scatter_t[..., lo - 1 : hi, :, :] / n)
+            sign_t, logdet_t = np.linalg.slogdet(sigma_t)
             logdet_t = np.where(sign_t > 0, logdet_t, -np.inf)
     if not np.all(np.isfinite(logdet_n)):
         raise DegenerateDataError("no-change covariance estimate is singular")

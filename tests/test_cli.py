@@ -946,6 +946,17 @@ def test_simulate_profile_runs_at_eta_1e6(tmp_path, monkeypatch):
     assert json.loads(out.read_text())["tv"] == {"profile": 0.0}
 
 
+@pytest.mark.parametrize("eta", ["1e17", "1e18", "1e30"])
+def test_simulate_profile_at_d1_past_2_52_reads_an_exact_fit(tmp_path, monkeypatch, eta):
+    # the drawn rows have lost the unit noise, so a segment scatter can round below 0:
+    # it is an exact fit (+inf), as a non-positive determinant is at d > 1
+    monkeypatch.setenv("CHANGEPOINT_THREADS", "1")
+    conf = _sim_config(tmp_path, f"n = 40\ntau = 20\neta = {eta}\nreps = 200\nmodes = profile\n")
+    out = tmp_path / "s.json"
+    assert main(["simulate", "--in", str(conf), "--seed", "1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["tv"] == {"profile": 0.0}
+
+
 @pytest.mark.parametrize(
     "key, values",
     [("family", "gaussian, student_t"), ("nu", "5, 7"), ("d", "1, 3"), ("delta", "2, 4"),

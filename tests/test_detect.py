@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +155,51 @@ def test_covariance_jump_located():
         hits += abs(report.tau_hat - 100) <= 5
     assert hits >= 930
 
+
+
+def _stacked_covariance_trace(series: np.ndarray) -> np.ndarray:
+    """The (n, d, d)-stack formula the pair kernel replaced, kept as its bit-for-bit reference."""
+    n, d = series.shape
+    lo, hi = d + 1, n - d - 1
+    logdet_f = np.linalg.slogdet(series.T @ series / n)[1]
+    t = np.arange(lo, hi + 1, dtype=float)
+    c2 = np.cumsum(series[:, :, None] * series[:, None, :], axis=0)
+    left2 = c2[lo - 1 : hi]
+    sign_l, logdet_l = np.linalg.slogdet(left2 / t[:, None, None])
+    sign_r, logdet_r = np.linalg.slogdet((c2[-1][None] - left2) / (n - t)[:, None, None])
+    trace = np.full(n - 1, np.nan)
+    with np.errstate(invalid="ignore"):
+        trace[lo - 1 : hi] = np.where(
+            (sign_l > 0) & (sign_r > 0), n * logdet_f - t * logdet_l - (n - t) * logdet_r, np.nan
+        )
+    return trace
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_covariance_trace_matches_the_stacked_formula_bit_for_bit(d):
+    rng = np.random.default_rng(40 + d)
+    for n in [2 * (d + 1), 41, 250]:
+        y = rng.standard_normal((n, d)) * np.where(np.arange(n) < n // 2, 1.0, 2.0)[:, None]
+        singular_head = y.copy()
+        singular_head[: n // 3, 0] = 0.0  # S_{1:t} singular at the first splits: nan there
+        for series in (y, singular_head):
+            report = covariance_change_statistic(Dataset(series))
+            assert report.trace.tobytes() == _stacked_covariance_trace(series).tobytes()
+
+
+def test_covariance_statistic_peak_memory_is_a_few_copies_of_the_series():
+    # two (d, d, n) moment stacks; the (n, d, d) products and their prefix
+    # sums, both formed in full, peaked near 13 n d doubles
+    n, d = 20_000, 3
+    data = Dataset(np.random.default_rng(6).standard_normal((n, d)))
+    covariance_change_statistic(data)
+    tracemalloc.start()
+    try:
+        covariance_change_statistic(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * n * d * 8
 
 # --- diagnostics -------------------------------------------------------------
 

@@ -1,6 +1,7 @@
 """MLE walks, profile criterion, the conditional law, and intervals."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -237,7 +238,18 @@ def test_profile_exact_fit_at_d2_scores_inf():
     assert np.isfinite(fit.walk_trace[[13, 15]]).all()
 
 
-@pytest.mark.parametrize("d", [1, 3])
+
+def test_profile_scatter_rounded_below_zero_at_d1_scores_inf():
+    # the unit noise is lost against a 1e17 step: at the true split the
+    # scatter, exactly 0 in exact arithmetic, rounds below 0
+    y = 1e17 * (np.arange(40) >= 20) + np.arange(40) % 3
+    assert split_scatters(y[:, None])[0][19, 0, 0] < 0.0
+    fit = mle_profile(Dataset(y))
+    assert fit.tau_hat == 20
+    assert np.isposinf(fit.walk_trace[19])
+    assert np.isfinite(np.delete(fit.walk_trace, 19)).all()
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
 def test_stacked_kernels_give_each_series_its_own_bits(d):
     rng = np.random.default_rng(8)
     stack = rng.standard_normal((5, 2, 30, d))
@@ -284,6 +296,47 @@ def test_split_scatters_matches_the_broadcast_formula_bit_for_bit(d, offset):
         assert [a.shape for a in got] == [a.shape for a in want]
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
+
+
+def _reference_profile_criterion(series):
+    """profile_criterion on the broadcast formula's scatters, each slice divided out of place."""
+    n, d = series.shape[-2:]
+    lo, hi = (1, n - 1) if d == 1 else (d + 1, n - d - 1)
+    scatter_t, scatter_n = _broadcast_split_scatters(series)
+    if d == 1:
+        logdet_n = np.log(scatter_n[..., 0, 0] / n)
+        logdet_t = np.log(scatter_t[..., lo - 1 : hi, 0, 0] / n)
+    else:
+        logdet_n = np.linalg.slogdet(scatter_n / n)[1]
+        logdet_t = np.linalg.slogdet(scatter_t[..., lo - 1 : hi, :, :] / n)[1]
+    trace = np.full(scatter_t.shape[:-2], np.nan)
+    trace[..., lo - 1 : hi] = n * (logdet_n[..., None] - logdet_t)
+    return trace
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("offset", [0.0, 1e3])
+def test_profile_criterion_matches_the_broadcast_reference_bit_for_bit(d, offset):
+    rng = np.random.default_rng(10 + d)
+    for shape in [(2 * (d + 1), d), (4, 2 * (d + 1), d), (3, 2, 41, d), (250, d)]:
+        series = rng.standard_normal(shape) + offset * rng.uniform(-1.0, 1.0, d)
+        series[..., shape[-2] // 2 :, :] += 1.5
+        assert profile_criterion(series).tobytes() == _reference_profile_criterion(series).tobytes()
+
+
+def test_split_kernel_peak_memory_is_a_few_copies_of_the_series():
+    # the pair kernel holds one (d, d, n - 1) stack; forming all d^2 pair
+    # products at once, with their temporaries, peaked near 19 n d doubles
+    n, d = 20_000, 3
+    series = np.random.default_rng(5).standard_normal((n, d))
+    profile_criterion(series)
+    tracemalloc.start()
+    try:
+        profile_criterion(series)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * n * d * 8
 
 # --- conditional law --------------------------------------------------------
 
