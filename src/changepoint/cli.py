@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dist", help="emit the exact offset distribution for a given eta")
     p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=exactdist.DEFAULT_TOL)
     p.add_argument("--out", required=True, help="CSV path; a .json sibling is written too")
     p.add_argument("--verify", action="store_true", help="re-read the CSV and check bit-exactness")
     p.set_defaults(func=cmd_dist)
@@ -88,20 +88,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=int, required=True, help="estimated change index")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--origin", type=int, help="calendar label of row 1")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=exactdist.DEFAULT_TOL)
     p.add_argument("--out", help="write the interval JSON here")
     p.set_defaults(func=cmd_ci)
 
     p = sub.add_parser("simulate", help="run study cells from a key-value config file")
     p.add_argument("--in", dest="input", required=True, help="config file path")
     p.add_argument("--seed", type=int, required=True, help="master seed (reproducibility is mandatory)")
-    p.add_argument("--reps", type=int, help="override replications from the config")
-    p.add_argument("--n", type=int, help="override the sample size grid")
-    p.add_argument("--tau", type=int, help="override the change-point grid")
-    p.add_argument("--eta", type=float, help="override the change-size grid")
-    p.add_argument("--family", help="override the noise family")
-    p.add_argument("--nu", type=float, help="override the family degrees of freedom")
-    p.add_argument("--delta", type=int, help="override the conditional window halfwidth")
     p.add_argument("--out", required=True, help="report JSON path; CSV sibling(s) written too")
     p.set_defaults(func=cmd_simulate)
 
@@ -109,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_input_args(p)
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--delta", type=int, help="conditional window halfwidth")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=exactdist.DEFAULT_TOL)
     p.add_argument("--out", help="write the full report JSON here")
     p.set_defaults(func=cmd_analyze)
 
@@ -414,8 +407,8 @@ def _parse_config_file(path: str) -> dict[str, list[str]]:
 
 # Simulate config keys: the SimConfig field, the parser of one value, and the
 # values kept ("grid" keeps all, and the cells span them; "all" keeps all;
-# "one" refuses a second).  A flag overrides the key of its name.  An omitted
-# key takes SimConfig's default; one whose field has no default is required.
+# "one" refuses a second).  An omitted key takes SimConfig's default; one
+# whose field has no default is required.
 _CONFIG_KEYS = {
     "n": ("n", int, "grid"),
     "tau": ("tau", int, "grid"),
@@ -432,17 +425,13 @@ _REQUIRED = [
 ]
 
 
-def _config_cells(raw: dict[str, list[str]], seed: int, args):
-    for key in _CONFIG_KEYS:
-        if getattr(args, key, None) is not None:
-            raw[key] = [str(getattr(args, key))]
+def _config_cells(raw: dict[str, list[str]], seed: int):
     unknown = set(raw) - set(_CONFIG_KEYS)
     if unknown:
         raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
     for key, (field, _, _) in _CONFIG_KEYS.items():
         if field in _REQUIRED and key not in raw:
-            flag = "--reps" if key == "reps" else "flag"
-            raise ConfigurationError(f"missing {key!r} (config key or {flag})")
+            raise ConfigurationError(f"missing config key {key!r}")
     fields, grid = {"master_seed": seed}, {}
     # the grid keys are parsed last; either group in table order
     grid_last = sorted(_CONFIG_KEYS.items(), key=lambda item: item[1][2] == "grid")
@@ -462,7 +451,7 @@ def _config_cells(raw: dict[str, list[str]], seed: int, args):
 
 
 def cmd_simulate(args) -> int:
-    cells = _config_cells(_parse_config_file(args.input), args.seed, args)
+    cells = _config_cells(_parse_config_file(args.input), args.seed)
     for cell in cells:
         # refuse the grid before any cell runs if a cell's law cannot be built
         exactdist.full_support_halfwidth(cell.eta)

@@ -31,6 +31,7 @@ from .estimators import admissible_splits, finite_list, pair_cumsums, profile_cr
 # unused here; kept importable because the benchmark tracer wraps ``detect.split_scatters``
 from .estimators import split_scatters  # noqa: F401
 from .model import Dataset
+from .numerics import check_split
 
 __all__ = [
     "DetectionReport",
@@ -209,8 +210,7 @@ def residual_diagnostics(data: Dataset, tau_hat: int) -> DiagnosticsReport:
     average d (n - 2) / n exactly.  The deviations sum to zero within
     each segment by construction.
     """
-    if not (1 <= tau_hat <= data.n - 1):
-        raise DomainError(f"tau_hat must be in [1, n-1], got {tau_hat}")
+    check_split("tau_hat", tau_hat, data.n)
     mu1, mu2, dev, pooled = segment_fit(data.series, tau_hat)
     try:
         L = np.linalg.cholesky(pooled)

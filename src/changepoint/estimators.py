@@ -33,6 +33,7 @@ import numpy as np
 from .errors import DegenerateDataError, DomainError, UnreachableLevelError
 from .exactdist import Pmf, check_level, folded_mass, symmetric_interval
 from .model import Dataset, MultivariateOrigin, UnivariateOrigin
+from .numerics import check_split
 
 __all__ = [
     "MleResult",
@@ -329,8 +330,7 @@ def confidence_interval(
     smallest highest-mass set of window offsets reaching the level.
     """
     check_level(level)
-    if not (1 <= tau_hat <= n - 1):
-        raise DomainError(f"tau_hat must be in [1, n-1], got tau_hat={tau_hat}, n={n}")
+    check_split("tau_hat", tau_hat, n)
     if isinstance(dist, Pmf):
         m = symmetric_interval(dist, level)
         lo, hi = tau_hat - m, tau_hat + m

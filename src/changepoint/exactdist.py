@@ -61,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, PrecisionError, UnreachableLevelError
-from .numerics import check_eta, log_b_tilde, std_normal_survival
+from .numerics import check_eta, check_split, log_b_tilde, std_normal_survival
 
 __all__ = [
     "Pmf",
@@ -87,6 +87,8 @@ _TOO_LONG = "support for eta={} at tol={} exceeds the {} cap"
 
 # Certified tolerance of the variance series and of the no-ladder mass.
 _SERIES_TOL = 1e-12
+# Default bound on the support's discarded tail mass (``--tol``'s default too).
+DEFAULT_TOL = 1e-10
 
 
 def _check_eta_tol(eta: float, tol: float) -> None:
@@ -249,12 +251,6 @@ def _b_terms(eta: float, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _b(eta, n), np.exp(log_b_tilde(n, eta))
 
 
-def _b_series(eta: float, kmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """b and b~ over indices 0..kmax (index 0 unused, set to nan)."""
-    b, bt = _b_terms(eta, np.arange(1, kmax + 1))
-    return np.concatenate(([np.nan], b)), np.concatenate(([np.nan], bt))
-
-
 def _no_ladder_tail(r: float, J: int) -> float:
     # sum_{j>J} (1/j) sf(eta sqrt(j)/2) <= (1/(2(J+1))) r^(J+1) / (1-r), r = exp(-eta^2/8)
     return (0.5 / (J + 1)) * r ** (J + 1) / (1.0 - r)
@@ -328,7 +324,7 @@ class Pmf:
         return half[:0:-1] + half
 
 
-def support_halfwidth_for(eta: float, tol: float = 1e-10) -> int:
+def support_halfwidth_for(eta: float, tol: float = DEFAULT_TOL) -> int:
     """Support halfwidth K of ``build_pmf(eta, tol)``, which may exceed the cap.
 
     K >= 8 is the first index past which the certified tail, via
@@ -346,7 +342,7 @@ def support_halfwidth_for(eta: float, tol: float = 1e-10) -> int:
     return max(8, int(np.ceil(size)))
 
 
-def full_support_halfwidth(eta: float, tol: float = 1e-10) -> int:
+def full_support_halfwidth(eta: float, tol: float = DEFAULT_TOL) -> int:
     """K of the full law, refused past the cap before ``build_pmf(eta, tol)`` would build it."""
     K = support_halfwidth_for(eta, tol)
     if K > _KMAX_CAP:
@@ -354,7 +350,7 @@ def full_support_halfwidth(eta: float, tol: float = 1e-10) -> int:
     return K
 
 
-def build_pmf(eta: float, tol: float = 1e-10, level: float | None = None) -> Pmf:
+def build_pmf(eta: float, tol: float = DEFAULT_TOL, level: float | None = None) -> Pmf:
     """Point masses of the limiting centered estimator over [-K, K].
 
     K is ``support_halfwidth_for(eta, tol)``, and ``tail_mass_bound`` the
@@ -479,10 +475,8 @@ def variance_for(eta: float) -> float:
     O(K): only sums of b_n and b~_n enter, so no q / q~ recursion runs.
     """
     kmax = suggested_kmax(eta)
-    b, bt = _b_series(eta, kmax)
+    b, bt = _b_terms(eta, np.arange(1, kmax + 1))
     n = np.arange(1, kmax + 1, dtype=float)
-    b = b[1:]
-    bt = bt[1:]
     B = float(np.sum(b / n))
     Bp = float(np.sum(b))
     Bpp = float(np.sum(n * b))
@@ -499,8 +493,7 @@ def tv_bound(eta: float, n: int, tau: int) -> float:
     4 max{exp(-eta^2 tau / 8), exp(-eta^2 (n - tau) / 8)}: the geometric
     convergence rate of the finite-sample offset law to its limit.
     """
-    if not (1 <= tau <= n - 1):
-        raise DomainError(f"tau must be in [1, n-1], got tau={tau}, n={n}")
+    check_split("tau", tau, n)
     check_eta(eta)
     val = 4.0 * max(np.exp(-eta * eta * tau / 8.0), np.exp(-eta * eta * (n - tau) / 8.0))
     return float(min(1.0, val))

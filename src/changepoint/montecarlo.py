@@ -31,7 +31,7 @@ replications per second but nearly doubled the peak resident memory
 
 The environment variable CHANGEPOINT_THREADS bounds process-level
 parallelism of :func:`run_study` (unset or 0 means all available cores,
-1 forces serial execution).
+1 forces serial execution; a negative or non-integer value is refused).
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateDataError
-from .estimators import cobb_window, default_cobb_delta, known_walk, profile_criterion
+from .estimators import check_cobb_delta, cobb_window, default_cobb_delta, known_walk, profile_criterion
 from .model import Dataset, MultivariateOrigin, UnivariateOrigin
-from .numerics import check_eta, left_sum
+from .numerics import check_eta, check_split, left_sum
 from . import errors as _errors, exactdist
 
 __all__ = [
@@ -108,8 +108,7 @@ class SimConfig:
     cobb_delta: int | None = None
 
     def __post_init__(self):
-        if not (1 <= self.tau <= self.n - 1):
-            raise ConfigurationError(f"tau must be in [1, n-1], got tau={self.tau}, n={self.n}")
+        check_split("tau", self.tau, self.n)
         if self.n < 4:
             raise ConfigurationError(f"n must be >= 4, got {self.n}")
         check_eta(self.eta)
@@ -156,8 +155,8 @@ class SimConfig:
                 f"about 1, an error of about eps*eta^2/4 = {rounding:.2g} of it; profile "
                 f"cells need at most {_PROFILE_ROUNDING:g}, so eta <= {_PROFILE_ETA_MAX:.4g}"
             )
-        if self.cobb_delta is not None and self.cobb_delta < 1:
-            raise ConfigurationError(f"cobb_delta must be >= 1, got {self.cobb_delta}")
+        if self.cobb_delta is not None:
+            check_cobb_delta(self.cobb_delta)
 
 
 class _Substreams:
@@ -322,15 +321,13 @@ def _accumulate_range(config: SimConfig, start: int, stop: int):
 
 def _worker_count(replications: int) -> int:
     raw = os.environ.get("CHANGEPOINT_THREADS", "").strip()
-    if raw in ("", "0"):
-        workers = os.cpu_count() or 1
-    else:
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ConfigurationError(f"CHANGEPOINT_THREADS must be an integer, got {raw!r}")
-        if workers < 1:
-            workers = os.cpu_count() or 1
+    try:
+        workers = int(raw or 0)
+    except ValueError:
+        raise ConfigurationError(f"CHANGEPOINT_THREADS must be an integer, got {raw!r}")
+    if workers < 0:
+        raise ConfigurationError(f"CHANGEPOINT_THREADS must be >= 0, got {raw!r}")
+    workers = workers or os.cpu_count() or 1
     # below ~20k replications the fork overhead dominates
     return 1 if replications < 20_000 else workers
 

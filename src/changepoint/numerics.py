@@ -91,6 +91,12 @@ def check_eta(eta: float) -> None:
         raise DomainError(f"eta must be a positive finite real, got {eta!r}")
 
 
+def check_split(name: str, value: int, n: int) -> None:
+    """Refuse a split index outside [1, n-1]: each segment keeps at least one row."""
+    if not (1 <= value <= n - 1):
+        raise DomainError(f"{name} must be in [1, n-1], got {name}={value}, n={n}")
+
+
 def left_sum(values, start: float = 0.0) -> float:
     """``start + v0 + v1 + ...`` added left to right: from Python 3.12 ``sum()`` compensates."""
     return float(reduce(operator.add, values, start))

@@ -1018,23 +1018,28 @@ def test_simulate_requires_seed(tmp_path, capsys):
     assert exc.value.code == 2
 
 
-def test_simulate_flag_overrides(tmp_path, monkeypatch):
+_RETIRED_SIMULATE_FLAGS = [
+    ["--reps", "100"], ["--n", "60"], ["--tau", "30"], ["--eta", "2.5"],
+    ["--family", "student_t"], ["--nu", "3"], ["--delta", "2"],
+]
+
+
+@pytest.mark.parametrize(
+    "flag", [None] + _RETIRED_SIMULATE_FLAGS, ids=lambda f: "config-only" if f is None else f[0]
+)
+def test_simulate_cell_values_come_only_from_the_config(tmp_path, capsys, monkeypatch, flag):
+    # the config file is the one source of a cell's values: no flag overrides a key
     monkeypatch.setenv("CHANGEPOINT_THREADS", "1")
-    conf = _sim_config(tmp_path, "n = 40\ntau = 20\neta = 1.5\nreps = 500\n")
-    out = tmp_path / "o.json"
-    rc = main([
-        "simulate", "--in", str(conf), "--seed", "5", "--out", str(out),
-        "--eta", "2.5", "--n", "60", "--tau", "30", "--reps", "100",
-    ])
-    assert rc == 0
-    cfg = json.loads(out.read_text())["config"]
-    assert (cfg["n"], cfg["tau"], cfg["eta"], cfg["replications"]) == (60, 30, 2.5, 100)
-    conf2 = _sim_config(tmp_path, "n = 40\ntau = 20\neta = 1.5\nreps = 10\nfamily = gaussian\n")
-    rc = main([
-        "simulate", "--in", str(conf2), "--seed", "5", "--out", str(tmp_path / "p.json"),
-        "--family", "student_t", "--nu", "2",
-    ])
-    assert rc == 2  # overridden family needs nu > 2
+    conf = _sim_config(tmp_path, "n = 40\ntau = 20\neta = 1.5\nreps = 10\n")
+    argv = ["simulate", "--in", str(conf), "--seed", "5", "--out", str(tmp_path / "o.json")]
+    if flag is None:
+        assert main(argv) == 0
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(argv + flag)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
 
 
 # With several faults in one config, the first in this order is reported:
@@ -1042,9 +1047,9 @@ def test_simulate_flag_overrides(tmp_path, monkeypatch):
 # reps, unparsable n / tau / eta, then the cells in grid order.
 _CONFIG_FAULTS = [
     ("tau = 20\neta = 1\nfoo = 1\n", "unknown config keys: ['foo']"),
-    ("tau = 20\neta = 1\n", "missing 'n' (config key or flag)"),
-    ("n = 40\ntau = 20\n", "missing 'eta' (config key or flag)"),
-    ("n = 40\ntau = 20\neta = 1\n", "missing 'reps' (config key or --reps)"),
+    ("tau = 20\neta = 1\n", "missing config key 'n'"),
+    ("n = 40\ntau = 20\n", "missing config key 'eta'"),
+    ("n = 40\ntau = 20\neta = 1\n", "missing config key 'reps'"),
     ("n = 40\ntau = 20\neta = 1\nreps = x\nnu = y\n",
      "config key 'nu': could not convert string to float: 'y'"),
     ("n = 40\ntau = 20\neta = 1\nreps = 3.5\ndelta = r\n",
@@ -1057,6 +1062,7 @@ _CONFIG_FAULTS = [
      "config key 'eta': could not convert string to float: 'e'"),
     ("n = 40, 50\ntau = 45, 10\neta = 1\nreps = 3\n",
      "tau must be in [1, n-1], got tau=45, n=40"),
+    ("n = 40\ntau = 20\neta = 1\nreps = 3\ndelta = 0\n", "delta must be >= 1, got 0"),
 ]
 
 
@@ -1097,6 +1103,14 @@ def test_simulate_non_integer_thread_count_exits_2(tmp_path, capsys, monkeypatch
     conf = _sim_config(tmp_path, "n = 40\ntau = 20\neta = 2.0\nreps = 10\n")
     assert main(["simulate", "--in", str(conf), "--seed", "1", "--out", str(tmp_path / "s.json")]) == 2
     assert capsys.readouterr().err == "error: CHANGEPOINT_THREADS must be an integer, got 'abc'\n"
+
+
+def test_simulate_negative_thread_count_exits_2(tmp_path, capsys, monkeypatch):
+    # unset or 0 is all cores and 1 is serial; a negative count is not "all cores"
+    monkeypatch.setenv("CHANGEPOINT_THREADS", "-1")
+    conf = _sim_config(tmp_path, "n = 40\ntau = 20\neta = 2.0\nreps = 10\n")
+    assert main(["simulate", "--in", str(conf), "--seed", "1", "--out", str(tmp_path / "s.json")]) == 2
+    assert capsys.readouterr().err == "error: CHANGEPOINT_THREADS must be >= 0, got '-1'\n"
 
 
 _NUMERIC_KEYS = {"n": int, "tau": int, "eta": float, "d": int, "nu": float, "reps": int, "delta": int}

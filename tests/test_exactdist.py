@@ -65,7 +65,7 @@ def test_recursion_base_cases(eta, tables):
 @pytest.mark.parametrize("eta", ETAS)
 def test_table_invariants(eta, tables):
     q, qt = tables[eta]
-    b, bt = (s[1:] for s in exactdist._b_series(eta, suggested_kmax(eta)))
+    b, bt = exactdist._b_terms(eta, np.arange(1, suggested_kmax(eta) + 1))
     no_ladder, truncation_error = exactdist._no_ladder_mass(eta, 1e-12)
     assert np.all(np.diff(q) <= 0)
     assert np.all(qt[1:] <= q[1:])
@@ -257,25 +257,26 @@ def test_variance_for_builds_no_ladder_tables(monkeypatch):
 def test_recursion_matches_strided_reference_bit_exact(eta):
     kmax = suggested_kmax(eta)
     got_q, got_qt = build_ladder_tables(eta, kmax)
-    b, bt = exactdist._b_series(eta, kmax)
+    b, bt = exactdist._b_terms(eta, np.arange(1, kmax + 1))
     q = np.empty(kmax + 1)
     qt = np.empty(kmax + 1)
     q[0] = qt[0] = 1.0
     for m in range(1, kmax + 1):
-        q[m] = np.dot(b[m:0:-1], q[:m]) / m
-        qt[m] = np.dot(bt[m:0:-1], qt[:m]) / m
+        # b[m - 1::-1] is b_m, ..., b_1
+        q[m] = np.dot(b[m - 1 :: -1], q[:m]) / m
+        qt[m] = np.dot(bt[m - 1 :: -1], qt[:m]) / m
     assert np.array_equal(got_q, q)
     assert np.array_equal(got_qt, qt)
 
 
 def _per_index_reference(eta, kmax):
     # q / q~ by the per-index loop of the strided reference above
-    b, bt = exactdist._b_series(eta, kmax)
+    b, bt = exactdist._b_terms(eta, np.arange(1, kmax + 1))
     ref = np.empty((2, kmax + 1))
     ref[:, 0] = 1.0
     for m in range(1, kmax + 1):
-        ref[0, m] = np.dot(b[m:0:-1], ref[0, :m]) / m
-        ref[1, m] = np.dot(bt[m:0:-1], ref[1, :m]) / m
+        ref[0, m] = np.dot(b[m - 1 :: -1], ref[0, :m]) / m
+        ref[1, m] = np.dot(bt[m - 1 :: -1], ref[1, :m]) / m
     return ref
 
 
@@ -359,11 +360,11 @@ def test_no_ladder_cutoff_at_tiny_tol(eta):
 @pytest.mark.parametrize("eta", [0.05, 0.1122, 1.0, 3.7])
 def test_b_series_prefix_bit_exact(eta):
     a = 5000
-    long_b, long_bt = exactdist._b_series(eta, a)
+    long_b, long_bt = exactdist._b_terms(eta, np.arange(1, a + 1))
     for n in (1, 2, 7, 64, 1230, a - 1):
-        b, bt = exactdist._b_series(eta, n)
-        assert long_b[: n + 1].tobytes() == b.tobytes()
-        assert long_bt[: n + 1].tobytes() == bt.tobytes()
+        b, bt = exactdist._b_terms(eta, np.arange(1, n + 1))
+        assert long_b[:n].tobytes() == b.tobytes()
+        assert long_bt[:n].tobytes() == bt.tobytes()
 
 
 @pytest.mark.parametrize("eta, m, most", [(0.05, 6884, 8000), (0.1122, 1230, 1400)])

@@ -35,7 +35,7 @@ def _cfg(**kw):
 # --- configuration ----------------------------------------------------------
 
 def test_config_validation():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(DomainError, match=r"^tau must be in \[1, n-1\], got tau=60, n=\d+$"):
         _cfg(tau=60)
     with pytest.raises(DomainError, match=r"^eta must be a positive finite real, got -1\.0$"):
         _cfg(eta=-1.0)
